@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -202,7 +201,7 @@ def _sweep_csv(rows: list[dict]) -> str:
 
 
 def _series_rows(
-    state: StandardState, n_list: list[int], grid: int | None, workers: int = 1
+    state: StandardState, n_list: list[int], grid: int | None
 ) -> list[dict]:
     if state.group.is_cyclic:
         points = cyclic.zm_rate_series(state, n_list)
@@ -223,7 +222,7 @@ def _series_rows(
             for p in points
         ]
     quad = u1.QuadratureSpec(grid) if grid else None
-    points = u1.u1_rate_series(state, n_list, quad, workers=workers)
+    points = u1.u1_rate_series(state, n_list, quad)
     return [
         {
             "n": p.n_copies,
@@ -239,18 +238,22 @@ def _series_rows(
     ]
 
 
+def _cyclic_points(state: StandardState, n_list: list[int], *keys: str) -> list[dict]:
+    rows = _series_rows(state, n_list, None)
+    return [{key: row[key] for key in ("n", *keys)} for row in rows]
+
+
 def _cmd_asymmetry(args, cfg: RunConfig) -> int:
     state = _resolve_state(args, cfg)
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
-    points = []
-    for n in n_list:
-        if state.group.is_cyclic:
-            h, deficit = cyclic.zm_asymmetry(state, n)
-            points.append({"n": n, "h_bits": h, "h_deficit": deficit})
-        else:
-            h = u1.u1_asymmetry(state, n)
-            points.append({"n": n, "h_bits": h, "h_deficit": None})
+    if state.group.is_cyclic:
+        points = _cyclic_points(state, n_list, "h_bits", "h_deficit")
+    else:
+        points = [
+            {"n": n, "h_bits": u1.u1_asymmetry(state, n), "h_deficit": None}
+            for n in n_list
+        ]
     _emit_json({"points": points}, cfg)
     return EXIT_OK
 
@@ -260,15 +263,18 @@ def _cmd_mi(args, cfg: RunConfig) -> int:
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
     cfg.grid = args.grid
-    points = []
-    for n in n_list:
-        if state.group.is_cyclic:
-            mi, deficit = cyclic.covariant_mutual_info_zm(state, n)
-            points.append({"n": n, "i_bits": mi, "i_deficit": deficit})
-        else:
-            quad = u1.QuadratureSpec(args.grid) if args.grid else None
-            mi = u1.covariant_mutual_info_u1(state, n, quad)
-            points.append({"n": n, "i_bits": mi, "i_deficit": None})
+    if state.group.is_cyclic:
+        points = _cyclic_points(state, n_list, "i_bits", "i_deficit")
+    else:
+        quad = u1.QuadratureSpec(args.grid) if args.grid else None
+        points = [
+            {
+                "n": n,
+                "i_bits": u1.covariant_mutual_info_u1(state, n, quad),
+                "i_deficit": None,
+            }
+            for n in n_list
+        ]
     _emit_json({"points": points}, cfg)
     return EXIT_OK
 
@@ -278,21 +284,16 @@ def _cmd_rate(args, cfg: RunConfig) -> int:
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
     cfg.grid = args.grid
-    rows = _series_rows(state, n_list, args.grid, cfg.workers)
+    rows = _series_rows(state, n_list, args.grid)
+    # Every row carries the limiting rate as its target.
+    summary: dict = {"rate_bits": rows[0]["target"]}
     if state.group.is_cyclic:
         profile = dft_profile(state)
-        rate = cyclic.alignment_rate_zm(state)
-        summary = {
-            "rate_bits": rate,
-            "r_max": profile.r_max,
-            "maximizer_set": list(profile.S),
-            "degeneracy_weight": profile.D,
-        }
+        summary["r_max"] = profile.r_max
+        summary["maximizer_set"] = list(profile.S)
+        summary["degeneracy_weight"] = profile.D
     else:
-        summary = {
-            "rate_bits": u1.regularized_asymmetry_u1(state),
-            "number_variance": u1.number_variance(state),
-        }
+        summary["number_variance"] = u1.number_variance(state)
     if cfg.format == "csv":
         _emit(_sweep_csv(rows), cfg.out)
         return EXIT_OK
@@ -401,9 +402,7 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     cfg.shots = args.shots
     cfg.seed = args.seed
     measurement = povm.covariant_povm(state.group.M)
-    record = sampling.simulate_protocol(
-        state, n, measurement, args.shots, args.seed, workers=args.workers
-    )
+    record = sampling.simulate_protocol(state, n, measurement, args.shots, args.seed)
     estimate, corrected = sampling.plugin_mi(record)
     if cfg.format == "csv":
         _emit(sampling.counts_to_csv(record), cfg.out)
@@ -420,6 +419,13 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_state_args(sub) -> None:
     sub.add_argument("--group", help="u1 or zM (e.g. z4)")
     sub.add_argument("--probs", help="comma-separated probabilities; fractions allowed")
@@ -432,8 +438,9 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count (default: available parallelism)",
+        "--workers", type=_positive_int, default=1,
+        help="search threads, each drawing its own seeded trials (default 1); "
+        "the search witness depends on it, and no other subcommand uses it",
     )
     sub.add_argument("--seed", type=int, default=0)
 
@@ -493,10 +500,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         subcommand=args.subcommand,
         out=getattr(args, "out", None),
         format=getattr(args, "format", "json"),
-        workers=getattr(args, "workers", None) or os.cpu_count() or 1,
+        workers=args.workers,
         seed=getattr(args, "seed", None),
     )
-    args.workers = cfg.workers
     try:
         return args.func(args, cfg)
     except ResourceLimit as exc:

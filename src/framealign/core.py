@@ -214,9 +214,14 @@ class SpectralProfile:
 
 
 def _as_prob_array(p, *, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
+    try:
+        arr = np.asarray(p, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{name} must hold numbers: {exc}") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise WrongLength(f"{name} must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(arr)):
+        raise MalformedInput(f"{name} has non-finite entries")
     if np.any(arr < 0):
         raise NegativeProbability(f"{name} has negative entries")
     return arr

@@ -15,6 +15,7 @@ from scipy.special import xlogy
 
 from .core import (
     LN2,
+    MODULUS_ZERO_TOL,
     CopyDistribution,
     DegenerateProfile,
     DeviationVector,
@@ -171,8 +172,9 @@ def asymptotic_deficits(profile: SpectralProfile, n_copies: int) -> DeficitPredi
     size = len(profile.S)
     asym = r2n * size / (2.0 * LN2)
     mi = r2n * (size / (4.0 * LN2) + profile.D * (1.0 - n_copies * log2r))
-    rest = [profile.r[n] for n in range(1, profile.M) if n not in profile.S]
-    second = max(rest, default=0.0)
+    rest = np.ones(profile.M, dtype=bool)
+    rest[[0, *profile.S]] = False
+    second = np.max(profile.r, where=rest, initial=0.0)
     if second > 0:
         ratio = 2.0 ** (n_copies * (math.log2(second) - log2r))
     else:
@@ -180,46 +182,16 @@ def asymptotic_deficits(profile: SpectralProfile, n_copies: int) -> DeficitPredi
     return DeficitPrediction(asym, mi, ratio)
 
 
-def _extrapolates(profile: SpectralProfile, n_copies: int) -> bool:
-    return (
-        profile.r_max > 0
-        and 2.0 * n_copies * math.log2(profile.r_max) < EXTRAPOLATION_LOG2
-    )
+def _rate_of(r_max: float) -> float | _InfiniteRate:
+    """-2 log2(r_max), or INFINITE_RATE when r_max is a numerical zero."""
+    if r_max <= MODULUS_ZERO_TOL:
+        return INFINITE_RATE
+    return -2.0 * math.log2(r_max)
 
 
-def _asym_deficit_info(
-    state: StandardState, profile: SpectralProfile, n_copies: int
-) -> tuple[float, float, bool]:
-    """(deficit_bits, linearized_per_copy, extrapolated) for the asymmetry."""
-    if profile.r_max == 0.0:
-        return 0.0, math.inf, False
-    log2r = math.log2(profile.r_max)
-    size = len(profile.S)
-    if _extrapolates(profile, n_copies):
-        deficit = asymptotic_deficits(profile, n_copies).asym_bits
-        lin = -(2.0 * n_copies * log2r + math.log2(size / (2.0 * LN2))) / n_copies
-        return deficit, lin, True
-    _, dev = copy_distribution_zm(state, n_copies)
-    deficit = entropy_deficit(dev)
-    lin = -math.log2(deficit) / n_copies if deficit > 0 else math.inf
-    return deficit, lin, False
-
-
-def _mi_deficit_info(
-    state: StandardState, profile: SpectralProfile, n_copies: int
-) -> tuple[float, float, bool]:
-    """(deficit_bits, linearized_per_copy, extrapolated) for the covariant
-    mutual information."""
-    m = state.group.M
-    if profile.r_max == 0.0:
-        return 0.0, math.inf, False
-    log2r = math.log2(profile.r_max)
-    if _extrapolates(profile, n_copies):
-        deficit = asymptotic_deficits(profile, n_copies).mi_bits
-        inner = len(profile.S) / (4.0 * LN2) + profile.D * (1.0 - n_copies * log2r)
-        lin = -(2.0 * n_copies * log2r + math.log2(inner)) / n_copies
-        return deficit, lin, True
-    _, dev = copy_distribution_zm(state, n_copies)
+def _mi_deficit(dev: DeviationVector) -> float:
+    """log2(M) minus the covariant mutual information, from the deviations."""
+    m = dev.M
     # Conditional outcome distribution over the offset j = (x - y) mod M:
     # q_j = |sum_k sqrt(c_k) e^{2 pi i k j / M}|^2 / M.  For j != 0 the flat
     # part of sqrt(c_k) cancels, so q_j is built from sqrt(1+Delta)-1 terms
@@ -232,9 +204,48 @@ def _mi_deficit_info(
     t = math.fsum(q_off.tolist())
     diag = -(1.0 - t) * math.log1p(-t)
     off = -math.fsum(xlogy(q_off, q_off).tolist())
-    deficit = (diag + off) / LN2
-    lin = -math.log2(deficit) / n_copies if deficit > 0 else math.inf
-    return deficit, lin, False
+    return (diag + off) / LN2
+
+
+def _zm_point(
+    state: StandardState, profile: SpectralProfile, n_copies: int
+) -> ZmRatePoint:
+    """Both deficits, their predictions and linearized values at N copies:
+    from one N-copy distribution, or past the extrapolation seam from one
+    asymptotic prediction."""
+    log2m = math.log2(profile.M)
+    target = _rate_of(profile.r_max)
+    if profile.r_max == 0.0:
+        return ZmRatePoint(
+            n_copies, log2m, 0.0, log2m, 0.0, 0.0, 0.0, math.inf, math.inf, target
+        )
+    log2r = math.log2(profile.r_max)
+    pred = asymptotic_deficits(profile, n_copies)
+    extrapolated = 2.0 * n_copies * log2r < EXTRAPOLATION_LOG2
+    if extrapolated:
+        a_def, m_def = pred.asym_bits, pred.mi_bits
+        size = len(profile.S)
+        lin_a = -(2.0 * n_copies * log2r + math.log2(size / (2.0 * LN2))) / n_copies
+        inner = size / (4.0 * LN2) + profile.D * (1.0 - n_copies * log2r)
+        lin_m = -(2.0 * n_copies * log2r + math.log2(inner)) / n_copies
+    else:
+        _, dev = copy_distribution_zm(state, n_copies)
+        a_def, m_def = entropy_deficit(dev), _mi_deficit(dev)
+        lin_a = -math.log2(a_def) / n_copies if a_def > 0 else math.inf
+        lin_m = -math.log2(m_def) / n_copies if m_def > 0 else math.inf
+    return ZmRatePoint(
+        n_copies=n_copies,
+        asymmetry_bits=log2m - a_def,
+        asymmetry_deficit_bits=a_def,
+        mi_bits=log2m - m_def,
+        mi_deficit_bits=m_def,
+        predicted_asym_deficit=pred.asym_bits,
+        predicted_mi_deficit=pred.mi_bits,
+        lin_asym_per_copy=lin_a,
+        lin_mi_per_copy=lin_m,
+        rate_target=target,
+        extrapolated=extrapolated,
+    )
 
 
 def zm_asymmetry(state: StandardState, n_copies: int) -> tuple[float, float]:
@@ -242,9 +253,8 @@ def zm_asymmetry(state: StandardState, n_copies: int) -> tuple[float, float]:
     _require_cyclic(state)
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
-    profile = dft_profile(state)
-    deficit, _, _ = _asym_deficit_info(state, profile, n_copies)
-    return math.log2(state.group.M) - deficit, deficit
+    point = _zm_point(state, dft_profile(state), n_copies)
+    return point.asymmetry_bits, point.asymmetry_deficit_bits
 
 
 def covariant_mutual_info_zm(
@@ -254,18 +264,14 @@ def covariant_mutual_info_zm(
     _require_cyclic(state)
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
-    profile = dft_profile(state)
-    deficit, _, _ = _mi_deficit_info(state, profile, n_copies)
-    return math.log2(state.group.M) - deficit, deficit
+    point = _zm_point(state, dft_profile(state), n_copies)
+    return point.mi_bits, point.mi_deficit_bits
 
 
 def alignment_rate_zm(state: StandardState) -> float | _InfiniteRate:
     """-2 log2(r_max) bits per copy; INFINITE_RATE for exact optimal resources."""
     _require_cyclic(state)
-    profile = dft_profile(state)
-    if profile.r_max == 0.0:
-        return INFINITE_RATE
-    return -2.0 * math.log2(profile.r_max)
+    return _rate_of(dft_profile(state).r_max)
 
 
 def zm_rate_series(state: StandardState, n_list: Sequence[int]) -> list[ZmRatePoint]:
@@ -274,41 +280,58 @@ def zm_rate_series(state: StandardState, n_list: Sequence[int]) -> list[ZmRatePo
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise MalformedInput("every N must be >= 1")
-    m = state.group.M
-    log2m = math.log2(m)
     profile = dft_profile(state)
-    target = alignment_rate_zm(state)
-    points = []
-    for n in n_list:
-        a_def, lin_a, extr_a = _asym_deficit_info(state, profile, n)
-        m_def, lin_m, extr_m = _mi_deficit_info(state, profile, n)
-        if profile.r_max > 0:
-            pred = asymptotic_deficits(profile, n)
-            pred_a, pred_m = pred.asym_bits, pred.mi_bits
-        else:
-            pred_a = pred_m = 0.0
-        points.append(
-            ZmRatePoint(
-                n_copies=n,
-                asymmetry_bits=log2m - a_def,
-                asymmetry_deficit_bits=a_def,
-                mi_bits=log2m - m_def,
-                mi_deficit_bits=m_def,
-                predicted_asym_deficit=pred_a,
-                predicted_mi_deficit=pred_m,
-                lin_asym_per_copy=lin_a,
-                lin_mi_per_copy=lin_m,
-                rate_target=target,
-                extrapolated=extr_a or extr_m,
-            )
-        )
-    return points
+    return [_zm_point(state, profile, n) for n in n_list]
 
 
 def _cyclic_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     m = x.size
     table = y[(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
     return table @ x
+
+
+def _gap_bits(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Additivity gap 2*(log2 max ra + log2 max rb - log2 max ra*rb), in bits.
+
+    ra and rb hold the nontrivial transform moduli of the two factors along
+    the last axis; the composed moduli are their product because
+    |DFT(a*b)| = |DFT a| |DFT b|.  The gap is identically zero for M = 2 (a
+    single nontrivial index) and M = 3 (the two indices are conjugate), so
+    those orders return exact zeros instead of rounding noise.
+    """
+    if ra.shape[-1] <= 2:
+        return np.zeros(ra.shape[:-1])
+    with np.errstate(divide="ignore"):
+        gaps = 2.0 * (
+            np.log2(ra.max(axis=-1))
+            + np.log2(rb.max(axis=-1))
+            - np.log2((ra * rb).max(axis=-1))
+        )
+    return np.where((gaps >= -1e-10) & (gaps < 0.0), 0.0, gaps)
+
+
+def _compose_profiles(
+    prof_a: SpectralProfile, prof_b: SpectralProfile
+) -> tuple[np.ndarray, tuple, float | None]:
+    """Composed moduli, the three alignment rates and the additivity gap.
+
+    The gap is None when a factor has infinite rate and inf when only the
+    composition does.
+    """
+    omega = prof_a.r * prof_b.r
+    rates = (
+        _rate_of(prof_a.r_max),
+        _rate_of(prof_b.r_max),
+        _rate_of(float(np.max(omega[1:]))),
+    )
+    gap: float | None
+    if rates[0] is INFINITE_RATE or rates[1] is INFINITE_RATE:
+        gap = None
+    elif rates[2] is INFINITE_RATE:
+        gap = math.inf
+    else:
+        gap = float(_gap_bits(prof_a.r[1:], prof_b.r[1:]))
+    return omega, rates, gap
 
 
 def tensor_compose(a: StandardState, b: StandardState) -> CompositionResult:
@@ -319,30 +342,11 @@ def tensor_compose(a: StandardState, b: StandardState) -> CompositionResult:
         raise GroupMismatch("states must share the same cyclic group")
     q = _cyclic_convolve(a.probs, b.probs)
     q = q / math.fsum(q.tolist())
-    composed = StandardState(a.group, q)
-    prof_a = dft_profile(a)
-    prof_b = dft_profile(b)
-    prof_ab = dft_profile(composed)
-    rate_a = alignment_rate_zm(a)
-    rate_b = alignment_rate_zm(b)
-    rate_ab = alignment_rate_zm(composed)
-    gap: float | None
-    if isinstance(rate_a, _InfiniteRate) or isinstance(rate_b, _InfiniteRate):
-        gap = None
-    elif isinstance(rate_ab, _InfiniteRate):
-        gap = math.inf
-    else:
-        gap = 2.0 * (
-            math.log2(prof_a.r_max)
-            + math.log2(prof_b.r_max)
-            - math.log2(prof_ab.r_max)
-        )
-        if -1e-10 <= gap < 0.0:
-            gap = 0.0
+    omega, rates, gap = _compose_profiles(dft_profile(a), dft_profile(b))
     return CompositionResult(
-        composed=composed,
-        omega_moduli=prof_ab.r,
-        rate_components=(rate_a, rate_b, rate_ab),
+        composed=StandardState(a.group, q),
+        omega_moduli=omega,
+        rate_components=rates,
         gap_bits=gap,
     )
 
@@ -350,18 +354,15 @@ def tensor_compose(a: StandardState, b: StandardState) -> CompositionResult:
 def superadditivity_gap(a: StandardState, b: StandardState) -> float:
     """Rate gained by measuring the two resource families jointly, in bits.
 
-    Identically zero for M = 2 (a single nontrivial index) and M = 3 (the two
-    indices are conjugate), so those orders short-circuit to exact zero.
+    Identically zero for M <= 3; unbounded when only the composition has a
+    vanishing transform tail.
     """
     _require_cyclic(a)
     if a.group != b.group:
         raise GroupMismatch("states must share the same cyclic group")
-    if dft_profile(a).r_max == 0.0 or dft_profile(b).r_max == 0.0:
+    _, _, gap = _compose_profiles(dft_profile(a), dft_profile(b))
+    if gap is None:
         raise DegenerateProfile("gap undefined when a factor has infinite rate")
-    if a.group.M <= 3:
-        return 0.0
-    gap = tensor_compose(a, b).gap_bits
-    assert gap is not None
     return gap
 
 
@@ -373,18 +374,9 @@ def _search_block(
     pa /= pa.sum(axis=1, keepdims=True)
     pb = rng.exponential(1.0, size=(n_trials, m))
     pb /= pb.sum(axis=1, keepdims=True)
-    if m <= 3:
-        gaps = np.zeros(n_trials)
-    else:
-        ra = np.abs(np.fft.ifft(pa, axis=1))[:, 1:] * m
-        rb = np.abs(np.fft.ifft(pb, axis=1))[:, 1:] * m
-        with np.errstate(divide="ignore"):
-            gaps = 2.0 * (
-                np.log2(ra.max(axis=1))
-                + np.log2(rb.max(axis=1))
-                - np.log2((ra * rb).max(axis=1))
-            )
-        gaps[(gaps >= -1e-10) & (gaps < 0.0)] = 0.0
+    ra = np.abs(np.fft.ifft(pa, axis=1))[:, 1:] * m
+    rb = np.abs(np.fft.ifft(pb, axis=1))[:, 1:] * m
+    gaps = _gap_bits(ra, rb)
     best = float(gaps.max())
     idx = np.flatnonzero(gaps == best)
     key = min(idx, key=lambda i: (tuple(pa[i]), tuple(pb[i])))

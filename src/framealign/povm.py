@@ -84,8 +84,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise MalformedInput("restarts and max_iters must be positive")
-        if self.step_size <= 0 or self.tol <= 0:
-            raise MalformedInput("step_size and tol must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.step_size, self.tol)):
+            raise MalformedInput("step_size and tol must be positive and finite")
         if self.outcomes is not None and self.outcomes < 1:
             raise MalformedInput("outcomes must be positive")
 

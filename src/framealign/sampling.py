@@ -20,7 +20,6 @@ class SampleRecord:
     shots: int
     counts: np.ndarray
     seed: int
-    workers: int = 1
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -33,45 +32,29 @@ class SampleRecord:
         object.__setattr__(self, "counts", counts)
 
 
-def _sample_block(
-    cond: np.ndarray, shots: int, seed: int
-) -> np.ndarray:
-    m, k = cond.shape
-    rng = np.random.default_rng(seed)
-    x_counts = rng.multinomial(shots, np.full(m, 1.0 / m))
-    block = np.zeros((m, k), dtype=np.int64)
-    for x in range(m):
-        if x_counts[x]:
-            block[x] = rng.multinomial(x_counts[x], cond[x])
-    return block
-
-
 def simulate_protocol(
     state: StandardState,
     n_copies: int,
     povm: PovmSpec,
     shots: int,
     seed: int,
-    *,
-    workers: int = 1,
 ) -> SampleRecord:
     """Sample the hidden shift uniformly and the outcome from p(y|x).
 
-    Bit-identical counts for identical (seed, shots, inputs, workers): shots
-    are partitioned across workers and worker w consumes seed + w.
+    Bit-identical counts for identical (seed, shots, inputs).
     """
     if shots < 1:
         raise MalformedInput("shots must be >= 1")
     ens = ensemble_states(state, n_copies)
     cond = conditional_table(ens, povm)
     cond = cond / cond.sum(axis=1, keepdims=True)
-    workers = min(max(1, int(workers)), shots)
-    budgets = [shots // workers + (1 if w < shots % workers else 0) for w in range(workers)]
+    rng = np.random.default_rng(seed)
+    x_counts = rng.multinomial(shots, np.full(ens.M, 1.0 / ens.M))
     counts = np.zeros_like(cond, dtype=np.int64)
-    for w, budget in enumerate(budgets):
-        if budget:
-            counts += _sample_block(cond, budget, seed + w)
-    return SampleRecord(ens.M, shots, counts, seed, workers)
+    for x in range(ens.M):
+        if x_counts[x]:
+            counts[x] = rng.multinomial(x_counts[x], cond[x])
+    return SampleRecord(ens.M, shots, counts, seed)
 
 
 def mutual_info_of_counts(counts) -> float:

@@ -3,7 +3,6 @@ covariant-measurement mutual information, and linearized rate estimates."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,7 +166,12 @@ def offset_density_grid(
     phase measurement; it integrates to 1 exactly under the periodic
     trapezoid rule whenever the grid resolves the coefficients.
     """
-    c = copy_distribution_u1(state, n_copies, cap=cap).c
+    return _offset_density(copy_distribution_u1(state, n_copies, cap=cap).c, quad)
+
+
+def _offset_density(
+    c: np.ndarray, quad: QuadratureSpec | None
+) -> tuple[np.ndarray, np.ndarray]:
     if quad is None:
         quad = QuadratureSpec.for_length(c.size)
     if quad.grid_points < 8 * c.size:
@@ -182,6 +186,13 @@ def offset_density_grid(
     return phi, density
 
 
+def _mutual_info_of_density(density: np.ndarray) -> float:
+    """Periodic-trapezoid quadrature of f log2(2*pi*f), in bits."""
+    g = 2.0 * math.pi * density
+    val = math.fsum(xlogy(g, g).tolist()) / (g.size * LN2)
+    return max(val, 0.0)
+
+
 def covariant_mutual_info_u1(
     state: StandardState,
     n_copies: int,
@@ -192,9 +203,7 @@ def covariant_mutual_info_u1(
     """Mutual information (bits) between the hidden phase and the covariant
     phase estimate, by periodic-trapezoid quadrature of f log2(2*pi*f)."""
     _, density = offset_density_grid(state, n_copies, quad, cap=cap)
-    g = 2.0 * math.pi * density
-    val = math.fsum(xlogy(g, g).tolist()) / (g.size * LN2)
-    return max(val, 0.0)
+    return _mutual_info_of_density(density)
 
 
 def regularized_asymmetry_u1(state: StandardState) -> float:
@@ -214,8 +223,10 @@ def _rate_point(
     cap: int,
     target: float,
 ) -> U1RatePoint:
-    h = u1_asymmetry(state, n_copies, cap=cap)
-    i = covariant_mutual_info_u1(state, n_copies, quad, cap=cap)
+    # One copy distribution feeds both the entropy and the quadrature.
+    c = copy_distribution_u1(state, n_copies, cap=cap).c
+    h = shannon_entropy(c)
+    i = _mutual_info_of_density(_offset_density(c, quad)[1])
     return U1RatePoint(
         n_copies=n_copies,
         asymmetry_bits=h,
@@ -232,7 +243,6 @@ def u1_rate_series(
     quad: QuadratureSpec | Sequence[QuadratureSpec] | None = None,
     *,
     cap: int = DEFAULT_COEFF_CAP,
-    workers: int = 1,
 ) -> list[U1RatePoint]:
     """Per-N asymmetry, mutual information and linearized values.
 
@@ -250,12 +260,4 @@ def u1_rate_series(
         if len(quads) != len(n_list):
             raise MalformedInput("need one quadrature spec per N")
     target = regularized_asymmetry_u1(state)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    lambda args: _rate_point(state, args[0], args[1], cap, target),
-                    zip(n_list, quads),
-                )
-            )
     return [_rate_point(state, n, q, cap, target) for n, q in zip(n_list, quads)]

@@ -164,6 +164,18 @@ class TestSuperaddCommand:
         assert abs(obj["omega_moduli"][2]) <= 1e-12
         assert obj["a"]["group"] == {"kind": "cyclic", "M": 4}
 
+    def test_z3_gap_is_exactly_zero(self, tmp_path):
+        rng = np.random.default_rng(53)
+        group = GroupSpec.cyclic(3)
+        a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+        for _ in range(20):
+            save_state(validate_state(rng.dirichlet(np.ones(3)), group), a_path)
+            save_state(validate_state(rng.dirichlet(np.ones(3)), group), b_path)
+            obj = run_json(
+                tmp_path, ["superadd", "--a", str(a_path), "--b", str(b_path)]
+            )
+            assert obj["gap_bits"] == 0.0
+
     def test_missing_file(self, capsys, tmp_path):
         rc = main(["superadd", "--a", str(tmp_path / "nope.json"), "--b", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -274,6 +286,46 @@ class TestDeterminism:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+
+def assert_one_json_error(capsys, error):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+class TestInputRejection:
+    def test_nan_in_state_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"group": {"kind": "cyclic", "M": 2}, "probs": [NaN, 1.0]}')
+        rc = main(["rate", "--state", str(path), "--n", "2"])
+        assert rc == 2
+        assert_one_json_error(capsys, "MalformedInput")
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_2(self, capsys, step):
+        rc = main(
+            [
+                "optimize", "--group", "z3", "--probs", "0.5,0.3,0.2",
+                "--n", "1", "--step", step,
+            ]
+        )
+        assert rc == 2
+        assert_one_json_error(capsys, "MalformedInput")
+
+    def test_workers_defaults_to_one(self, tmp_path):
+        argv = ["search", "--group", "z4", "--trials", "300", "--seed", "2"]
+        default = run_json(tmp_path, argv, name="default.json")
+        explicit = run_json(tmp_path, argv + ["--workers", "1"], name="one.json")
+        assert default["config"]["workers"] == 1
+        del default["config"]["out"], explicit["config"]["out"]
+        assert default == explicit
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        rc = main(["search", "--group", "z4", "--trials", "10", "--workers", workers])
+        assert rc == 2
+        assert_one_json_error(capsys, "UsageError")
 
 
 class TestStateFileInput:

@@ -235,6 +235,10 @@ class TestStateFiles:
             {"group": {"kind": "dihedral", "M": 4}, "probs": [1.0]},
             {"group": {"kind": "cyclic"}, "probs": [0.5, 0.5]},
             {"group": {"kind": "cyclic", "M": 2}, "probs": "nope"},
+            {"group": {"kind": "cyclic", "M": 2}, "probs": ["a", 1.0]},
+            {"group": {"kind": "cyclic", "M": 2}, "probs": [math.nan, 1.0]},
+            {"group": {"kind": "cyclic", "M": 2}, "probs": [math.inf, 0.0]},
+            {"group": {"kind": "cyclic", "M": 2}, "probs": [-math.inf, 1.0]},
         ):
             with pytest.raises(MalformedInput):
                 state_from_json(payload)

@@ -26,7 +26,7 @@ from framealign.core import (
     MalformedInput,
     ResourceLimit,
 )
-from framealign.cyclic import _oracle_dp, _oracle_enumerate
+from framealign.cyclic import EXTRAPOLATION_LOG2, _oracle_dp, _oracle_enumerate
 
 from conftest import graded_prob_vectors, prob_vectors, random_simplex
 
@@ -236,6 +236,40 @@ class TestRelabelingInvariance:
             )
 
 
+class TestOneKernel:
+    def test_series_matches_single_points_across_seam(self):
+        # Seam of the exact path: 2 N log2(r_max) < EXTRAPOLATION_LOG2.
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            m = int(rng.integers(2, 12))
+            state = zstate(random_simplex(rng, m))
+            r_max = dft_profile(state).r_max
+            seam = -EXTRAPOLATION_LOG2 / (-2.0 * math.log2(r_max))
+            n_list = sorted(
+                {1, 2, 3, max(1, int(seam) - 1), int(seam) + 2, 2 * int(seam) + 5}
+            )
+            points = zm_rate_series(state, n_list)
+            assert any(p.extrapolated for p in points)
+            assert not all(p.extrapolated for p in points)
+            for p in points:
+                h, h_def = zm_asymmetry(state, p.n_copies)
+                i, i_def = covariant_mutual_info_zm(state, p.n_copies)
+                assert (p.asymmetry_bits, p.asymmetry_deficit_bits) == (h, h_def)
+                assert (p.mi_bits, p.mi_deficit_bits) == (i, i_def)
+
+    def test_subdominant_ratio_matches_label_loop(self):
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            m = int(rng.integers(2, 40))
+            profile = dft_profile(zstate(random_simplex(rng, m)))
+            n = int(rng.integers(1, 200))
+            rest = [profile.r[k] for k in range(1, m) if k not in profile.S]
+            second = max(rest, default=0.0)
+            log2r = math.log2(profile.r_max)
+            expected = 2.0 ** (n * (math.log2(second) - log2r)) if second > 0 else 0.0
+            assert asymptotic_deficits(profile, n).subdominant_ratio == expected
+
+
 class TestTensorCompose:
     def test_documented_pair(self, z4_psi, z4_phi):
         result = tensor_compose(z4_psi, z4_phi)
@@ -285,8 +319,8 @@ class TestSuperadditivityGap:
             for _ in range(25):
                 a, b = zstate(random_simplex(rng, m)), zstate(random_simplex(rng, m))
                 assert superadditivity_gap(a, b) == 0.0
-                # The unforced computation agrees to rounding.
-                assert abs(tensor_compose(a, b).gap_bits) <= 1e-10
+                # Composition reports the same exact zero, not rounding noise.
+                assert tensor_compose(a, b).gap_bits == 0.0
 
     def test_degenerate_factor_rejected(self, z4_psi):
         with pytest.raises(DegenerateProfile):

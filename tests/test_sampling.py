@@ -53,14 +53,6 @@ class TestSimulateProtocol:
         rows = rec.counts / rec.counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(rows - table)) <= 5 / math.sqrt(shots / 4)
 
-    def test_workers_partition_reproducibly(self, z4_psi):
-        povm = covariant_povm(4)
-        a = simulate_protocol(z4_psi, 1, povm, 9999, seed=5, workers=3)
-        b = simulate_protocol(z4_psi, 1, povm, 9999, seed=5, workers=3)
-        assert np.array_equal(a.counts, b.counts)
-        assert int(a.counts.sum()) == 9999
-        assert a.workers == 3
-
     def test_record_validation(self):
         with pytest.raises(MalformedInput):
             SampleRecord(2, 10, np.array([[4, 4], [4, 4]]), seed=0)

@@ -266,10 +266,16 @@ class TestRateSeries:
         for p in u1_rate_series(qubit_half, [16, 64]):
             assert p.mutual_info_bits <= p.asymmetry_bits + 1e-6
 
-    def test_workers_match_serial(self, qubit_half):
-        serial = u1_rate_series(qubit_half, [8, 16, 32])
-        threaded = u1_rate_series(qubit_half, [8, 16, 32], workers=3)
-        assert serial == threaded
+    def test_series_matches_single_points(self):
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 5):
+            state = u1_state(random_simplex(rng, d))
+            n_list = [1, 2, 7, 64, 100]
+            for p in u1_rate_series(state, n_list):
+                assert p.asymmetry_bits == u1_asymmetry(state, p.n_copies)
+                assert p.mutual_info_bits == covariant_mutual_info_u1(
+                    state, p.n_copies
+                )
 
 
 class TestVarianceAdditivity:

@@ -84,15 +84,15 @@ def _parse_probs(text: str) -> list[Fraction]:
 
 def _resolve_state(args, cfg: RunConfig) -> StandardState:
     """Exactly one input source: --probs (with --group) xor --state."""
-    has_probs = getattr(args, "probs", None) is not None
-    has_file = getattr(args, "state", None) is not None
+    has_probs = args.probs is not None
+    has_file = args.state is not None
     if has_probs == has_file:
         raise MalformedInput("provide exactly one of --probs or --state")
     if has_file:
         state = load_state(args.state)
         cfg.state_path = args.state
     else:
-        if getattr(args, "group", None) is None:
+        if args.group is None:
             raise MalformedInput("--probs needs --group")
         fracs = _parse_probs(args.probs)
         total = sum(fracs)
@@ -116,7 +116,7 @@ def _parse_group(text: str, n_probs: int) -> GroupSpec:
 
 
 def _parse_n_list(args) -> list[int]:
-    if getattr(args, "n_list", None):
+    if args.n_list:
         try:
             values = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError as exc:
@@ -126,12 +126,11 @@ def _parse_n_list(args) -> list[int]:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise MalformedInput("--n-list must be strictly increasing")
         return values
-    n = getattr(args, "n", None)
-    if n is None:
+    if args.n is None:
         return [1]
-    if n < 1:
+    if args.n < 1:
         raise MalformedInput("--n must be >= 1")
-    return [int(n)]
+    return [int(args.n)]
 
 
 def _jsonify(value: Any) -> Any:
@@ -221,7 +220,7 @@ def _series_rows(
             }
             for p in points
         ]
-    quad = u1.QuadratureSpec(grid) if grid else None
+    quad = u1.QuadratureSpec(grid) if grid is not None else None
     points = u1.u1_rate_series(state, n_list, quad)
     return [
         {
@@ -266,7 +265,7 @@ def _cmd_mi(args, cfg: RunConfig) -> int:
     if state.group.is_cyclic:
         points = _cyclic_points(state, n_list, "i_bits", "i_deficit")
     else:
-        quad = u1.QuadratureSpec(args.grid) if args.grid else None
+        quad = u1.QuadratureSpec(args.grid) if args.grid is not None else None
         points = [
             {
                 "n": n,
@@ -430,13 +429,12 @@ def _add_state_args(sub) -> None:
     sub.add_argument("--group", help="u1 or zM (e.g. z4)")
     sub.add_argument("--probs", help="comma-separated probabilities; fractions allowed")
     sub.add_argument("--state", help="path to a state JSON file")
+    sub.add_argument("--n", type=int, help="number of copies")
+    sub.add_argument("--n-list", dest="n_list", help="strictly increasing list a,b,c")
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--n", type=int, help="number of copies")
-    sub.add_argument("--n-list", dest="n_list", help="strictly increasing list a,b,c")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument(
         "--workers", type=_positive_int, default=1,
         help="search threads, each drawing its own seeded trials (default 1); "
@@ -449,16 +447,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="framealign")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, func in (
-        ("asymmetry", _cmd_asymmetry),
-        ("mi", _cmd_mi),
-        ("rate", _cmd_rate),
-    ):
-        sub = subs.add_parser(name)
-        _add_state_args(sub)
-        _add_common(sub)
-        sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
-        sub.set_defaults(func=func)
+    sub = subs.add_parser("asymmetry")
+    _add_state_args(sub)
+    _add_common(sub)
+    sub.set_defaults(func=_cmd_asymmetry)
+
+    sub = subs.add_parser("mi")
+    _add_state_args(sub)
+    _add_common(sub)
+    sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
+    sub.set_defaults(func=_cmd_mi)
+
+    sub = subs.add_parser("rate")
+    _add_state_args(sub)
+    _add_common(sub)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
+    sub.set_defaults(func=_cmd_rate)
 
     sub = subs.add_parser("superadd")
     sub.add_argument("--a", required=True, help="state file for the first factor")
@@ -484,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sample")
     _add_state_args(sub)
     _add_common(sub)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--shots", type=int, default=10000)
     sub.set_defaults(func=_cmd_sample)
 
@@ -498,25 +504,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     cfg = RunConfig(
         subcommand=args.subcommand,
-        out=getattr(args, "out", None),
+        out=args.out,
         format=getattr(args, "format", "json"),
         workers=args.workers,
-        seed=getattr(args, "seed", None),
+        seed=args.seed,
     )
     try:
         return args.func(args, cfg)
-    except ResourceLimit as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
     except FrameAlignError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return EXIT_INPUT
+        return EXIT_RESOURCE if isinstance(exc, ResourceLimit) else EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,12 +12,21 @@ from .core import (
     LN2,
     DimensionMismatch,
     MalformedInput,
+    ResourceLimit,
     StandardState,
 )
 from .cyclic import copy_distribution_zm
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
+
+# Largest dense complex array the POVM layer builds (256 MiB); M = 256 fits.
+MAX_DENSE_ENTRIES = 1 << 24
+
+
+def _check_dense(entries: int, what: str) -> None:
+    if entries > MAX_DENSE_ENTRIES:
+        raise ResourceLimit(f"{what} needs {entries} entries > {MAX_DENSE_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +62,8 @@ class PovmSpec:
             raise DimensionMismatch("effects must be a stack of square matrices")
         if np.max(np.abs(e - e.conj().transpose(0, 2, 1))) > 1e-9:
             raise MalformedInput("effects must be Hermitian")
-        for eff in e:
-            if np.linalg.eigvalsh(eff).min() < -PSD_TOL:
-                raise MalformedInput("effects must be positive semidefinite")
+        if np.linalg.eigvalsh(e).min() < -PSD_TOL:
+            raise MalformedInput("effects must be positive semidefinite")
         ident = np.eye(e.shape[1])
         if np.max(np.abs(e.sum(axis=0) - ident)) > COMPLETENESS_TOL:
             raise MalformedInput("effects must sum to the identity")
@@ -101,8 +109,9 @@ class OptimizeResult:
 
 def ensemble_states(state: StandardState, n_copies: int) -> EnsembleSpec:
     """The M-element orbit of an N-copy resource in its effective M-dim space."""
-    c = copy_distribution_zm(state, n_copies)[0].c
     m = state.group.M
+    _check_dense(m * m, f"the Z{m} orbit ensemble")
+    c = copy_distribution_zm(state, n_copies)[0].c
     amps = np.sqrt(c)
     amps = amps / np.linalg.norm(amps)
     k = np.arange(m)
@@ -115,6 +124,7 @@ def covariant_povm(m: int) -> PovmSpec:
     """Rank-one projectors onto the Fourier basis; sums to identity exactly."""
     if m < 2:
         raise MalformedInput("m must be >= 2")
+    _check_dense(m**3, f"the Z{m} Fourier-basis POVM")
     k = np.arange(m)
     basis = np.exp(2j * math.pi * np.outer(k, k) / m) / math.sqrt(m)
     effects = np.einsum("ky,ly->ykl", basis, basis.conj())
@@ -127,10 +137,13 @@ def conditional_table(ens: EnsembleSpec, povm: PovmSpec) -> np.ndarray:
         raise DimensionMismatch(
             f"POVM acts on dimension {povm.dim}, ensemble lives in {ens.M}"
         )
-    table = np.einsum(
-        "xk,ykl,xl->xy", ens.states.conj(), povm.effects, ens.states
-    ).real
-    return np.maximum(table, 0.0)
+    return _cond(ens.states, povm.effects)
+
+
+def _cond(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """p(y|x) = max(Re <psi_x| E_y |psi_x>, 0) from one stacked matmul."""
+    e_psi = effects @ states.T  # e_psi[y, :, x] = E_y psi_x
+    return np.maximum(np.einsum("xk,ykx->xy", states.conj(), e_psi).real, 0.0)
 
 
 def _mutual_info_bits(prior: np.ndarray, cond: np.ndarray) -> float:
@@ -158,13 +171,10 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _project_to_povm(effects: np.ndarray) -> np.ndarray:
     """Clip each effect to the PSD cone, then restore completeness by the
     symmetric sandwich E_y -> A^{-1/2} E_y A^{-1/2} with A = sum_y E_y."""
-    k, dim, _ = effects.shape
-    clipped = np.empty_like(effects)
-    for y in range(k):
-        h = 0.5 * (effects[y] + effects[y].conj().T)
-        w, v = np.linalg.eigh(h)
-        w = np.maximum(w, 0.0)
-        clipped[y] = (v * w) @ v.conj().T
+    h = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
+    w, v = np.linalg.eigh(h)
+    w = np.maximum(w, 0.0)
+    clipped = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
     total = clipped.sum(axis=0)
     total = 0.5 * (total + total.conj().T)
     w, v = np.linalg.eigh(total)
@@ -180,7 +190,6 @@ def _ascend(
     cfg: OptimizerConfig,
 ) -> tuple[np.ndarray, float, list[float], bool]:
     prior = np.asarray(ens.prior)
-    rho = np.einsum("xk,xl->xkl", ens.states, ens.states.conj())
     effects = _project_to_povm(start.copy())
     step = cfg.step_size
     trace: list[float] = []
@@ -190,10 +199,7 @@ def _ascend(
     still = 0
     converged = False
     for _ in range(cfg.max_iters):
-        cond = np.maximum(
-            np.einsum("xk,ykl,xl->xy", ens.states.conj(), effects, ens.states).real,
-            0.0,
-        )
+        cond = _cond(ens.states, effects)
         mi = _mutual_info_bits(prior, cond)
         trace.append(mi)
         if mi > best_mi:
@@ -212,7 +218,8 @@ def _ascend(
         prev_mi = mi
         py = prior @ cond
         log_ratio = np.log(np.maximum(cond, 1e-300) / np.maximum(py, 1e-300)[None, :])
-        grad = np.einsum("x,xkl,xy->ykl", prior, rho, log_ratio)
+        w = prior[:, None] * log_ratio  # grad_y = sum_x w[x, y] psi_x psi_x^dagger
+        grad = (ens.states.T[None] * w.T[:, None, :]) @ ens.states.conj()
         effects = _project_to_povm(effects + step * grad)
     return best_eff, best_mi, trace, converged
 
@@ -223,6 +230,7 @@ def optimize_povm(ens: EnsembleSpec, cfg: OptimizerConfig) -> OptimizeResult:
     it.  Deterministic given cfg.seed; non-convergence is flagged on the
     result rather than raised."""
     k = cfg.outcomes or ens.M
+    _check_dense(k * ens.M * ens.M, f"a {k}-outcome POVM on dimension {ens.M}")
     cov = covariant_povm(ens.M).effects
     best: OptimizeResult | None = None
     for r in range(cfg.restarts):

@@ -30,6 +30,9 @@ DEFAULT_COEFF_CAP = 1 << 20
 # QuadratureSpec.for_length).
 MIN_GRID_POINTS = 1 << 16
 
+# Largest grid for_length can choose: 8 points per coefficient at the cap.
+MAX_GRID_POINTS = 8 * DEFAULT_COEFF_CAP
+
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1)).bit_length()
@@ -45,6 +48,10 @@ class QuadratureSpec:
         k = self.grid_points
         if k < 8 or (k & (k - 1)) != 0:
             raise MalformedInput("grid_points must be a power of two >= 8")
+        if k > MAX_GRID_POINTS:
+            raise ResourceLimit(
+                f"grid of {k} points exceeds the limit of {MAX_GRID_POINTS}"
+            )
 
     @classmethod
     def for_length(cls, n_coeffs: int) -> "QuadratureSpec":
@@ -99,66 +106,55 @@ def _conv_power(p: np.ndarray, n: int) -> np.ndarray:
         base = np.convolve(base, base)
 
 
-def copy_distribution_u1(
-    state: StandardState, n_copies: int, *, cap: int = DEFAULT_COEFF_CAP
-) -> CopyDistribution:
-    """Exact distribution of the total number label across n_copies copies."""
+def _coeff_count(state: StandardState, n_copies: int) -> int:
+    """Length of the N-copy distribution, refused above DEFAULT_COEFF_CAP."""
     _require_u1(state)
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
-    d = state.group.d
-    out_len = n_copies * (d - 1) + 1
-    if out_len > cap:
-        raise ResourceLimit(
-            f"{out_len} coefficients exceed the cap of {cap}; raise cap to override"
-        )
-    if d == 1:
+    out_len = n_copies * (state.group.d - 1) + 1
+    if out_len > DEFAULT_COEFF_CAP:
+        raise ResourceLimit(f"{out_len} coefficients exceed {DEFAULT_COEFF_CAP}")
+    return out_len
+
+
+def copy_distribution_u1(state: StandardState, n_copies: int) -> CopyDistribution:
+    """Exact distribution of the total number label across n_copies copies."""
+    _coeff_count(state, n_copies)
+    if state.group.d == 1:
         c = np.ones(1)
     else:
         c = _conv_power(state.probs, n_copies)
     return CopyDistribution(state.group, n_copies, c)
 
 
-def gaussian_copy_distribution(
-    state: StandardState, n_copies: int, *, cap: int = DEFAULT_COEFF_CAP
-) -> CopyDistribution:
+def gaussian_copy_distribution(state: StandardState, n_copies: int) -> CopyDistribution:
     """Discretized-normal approximation to the N-copy number distribution.
 
     Only valid for gapless spectra (every p_n > 0); refuses anything else
     instead of silently extrapolating.
     """
-    _require_u1(state)
-    if n_copies < 1:
-        raise MalformedInput("n_copies must be >= 1")
+    out_len = _coeff_count(state, n_copies)
     if np.any(state.probs == 0):
         raise GappedSpectrum("normal approximation needs p_n > 0 for every n")
     var1 = number_variance(state)
     if var1 == 0:
         raise ZeroVariance("normal approximation needs positive number variance")
-    d = state.group.d
-    out_len = n_copies * (d - 1) + 1
-    if out_len > cap:
-        raise ResourceLimit(f"{out_len} coefficients exceed the cap of {cap}")
     n = np.arange(out_len, dtype=float)
-    mean1 = math.fsum((np.arange(d) * state.probs).tolist())
+    mean1 = math.fsum((np.arange(state.group.d) * state.probs).tolist())
     g = np.exp(-((n - n_copies * mean1) ** 2) / (2.0 * n_copies * var1))
     g /= math.fsum(g.tolist())
     return CopyDistribution(state.group, n_copies, g)
 
 
-def u1_asymmetry(
-    state: StandardState, n_copies: int, *, cap: int = DEFAULT_COEFF_CAP
-) -> float:
+def u1_asymmetry(state: StandardState, n_copies: int) -> float:
     """Shannon entropy (bits) of the exact N-copy number distribution."""
-    return shannon_entropy(copy_distribution_u1(state, n_copies, cap=cap).c)
+    return shannon_entropy(copy_distribution_u1(state, n_copies).c)
 
 
 def offset_density_grid(
     state: StandardState,
     n_copies: int,
     quad: QuadratureSpec | None = None,
-    *,
-    cap: int = DEFAULT_COEFF_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid phi_j and density f(phi_j) of the estimate-minus-true phase offset.
 
@@ -166,7 +162,7 @@ def offset_density_grid(
     phase measurement; it integrates to 1 exactly under the periodic
     trapezoid rule whenever the grid resolves the coefficients.
     """
-    return _offset_density(copy_distribution_u1(state, n_copies, cap=cap).c, quad)
+    return _offset_density(copy_distribution_u1(state, n_copies).c, quad)
 
 
 def _offset_density(
@@ -197,12 +193,10 @@ def covariant_mutual_info_u1(
     state: StandardState,
     n_copies: int,
     quad: QuadratureSpec | None = None,
-    *,
-    cap: int = DEFAULT_COEFF_CAP,
 ) -> float:
     """Mutual information (bits) between the hidden phase and the covariant
     phase estimate, by periodic-trapezoid quadrature of f log2(2*pi*f)."""
-    _, density = offset_density_grid(state, n_copies, quad, cap=cap)
+    _, density = offset_density_grid(state, n_copies, quad)
     return _mutual_info_of_density(density)
 
 
@@ -220,11 +214,10 @@ def _rate_point(
     state: StandardState,
     n_copies: int,
     quad: QuadratureSpec | None,
-    cap: int,
     target: float,
 ) -> U1RatePoint:
     # One copy distribution feeds both the entropy and the quadrature.
-    c = copy_distribution_u1(state, n_copies, cap=cap).c
+    c = copy_distribution_u1(state, n_copies).c
     h = shannon_entropy(c)
     i = _mutual_info_of_density(_offset_density(c, quad)[1])
     return U1RatePoint(
@@ -241,8 +234,6 @@ def u1_rate_series(
     state: StandardState,
     n_list: Sequence[int],
     quad: QuadratureSpec | Sequence[QuadratureSpec] | None = None,
-    *,
-    cap: int = DEFAULT_COEFF_CAP,
 ) -> list[U1RatePoint]:
     """Per-N asymmetry, mutual information and linearized values.
 
@@ -260,4 +251,4 @@ def u1_rate_series(
         if len(quads) != len(n_list):
             raise MalformedInput("need one quadrature spec per N")
     target = regularized_asymmetry_u1(state)
-    return [_rate_point(state, n, q, cap, target) for n, q in zip(n_list, quads)]
+    return [_rate_point(state, n, q, target) for n, q in zip(n_list, quads)]

@@ -327,6 +327,41 @@ class TestInputRejection:
         assert rc == 2
         assert_one_json_error(capsys, "UsageError")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["asymmetry", "--group", "z2", "--probs", "3/4,1/4", "--format", "csv"],
+            ["asymmetry", "--group", "u1", "--probs", "0.5,0.5", "--grid", "1024"],
+            ["search", "--group", "z4", "--n", "3"],
+            ["superadd", "--a", "a.json", "--b", "b.json", "--n-list", "1,2"],
+            ["optimize", "--group", "z2", "--probs", "3/4,1/4", "--format", "csv"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert_one_json_error(capsys, "UsageError")
+
+    def test_u1_grid_zero_exits_2(self, capsys):
+        rc = main(["mi", "--group", "u1", "--probs", "0.5,0.5", "--n", "1", "--grid", "0"])
+        assert rc == 2
+        assert_one_json_error(capsys, "MalformedInput")
+
+    @pytest.mark.parametrize("sub", ["mi", "rate"])
+    def test_u1_grid_above_limit_exits_3(self, capsys, sub):
+        argv = [sub, "--group", "u1", "--probs", "0.5,0.5", "--n", "1"]
+        assert main(argv + ["--grid", str(1 << 40)]) == 3
+        assert_one_json_error(capsys, "ResourceLimit")
+
+    def test_sample_povm_over_budget_exits_3(self, capsys):
+        probs = ",".join(["1/1024"] * 1024)
+        assert main(["sample", "--group", "z1024", "--probs", probs, "--n", "1"]) == 3
+        assert_one_json_error(capsys, "ResourceLimit")
+
+    def test_optimize_outcomes_over_budget_exits_3(self, capsys):
+        argv = ["optimize", "--group", "z4", "--probs", ",".join(PSI), "--n", "1"]
+        assert main(argv + ["--outcomes", str(1 << 21)]) == 3
+        assert_one_json_error(capsys, "ResourceLimit")
+
 
 class TestStateFileInput:
     def test_state_flag(self, tmp_path, z4_psi):

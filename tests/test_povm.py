@@ -14,8 +14,14 @@ from framealign import (
     validate_state,
     zm_asymmetry,
 )
-from framealign.core import DimensionMismatch, MalformedInput
-from framealign.povm import PovmSpec, conditional_table, povm_from_json, povm_to_json
+from framealign.core import DimensionMismatch, MalformedInput, ResourceLimit
+from framealign.povm import (
+    MAX_DENSE_ENTRIES,
+    PovmSpec,
+    conditional_table,
+    povm_from_json,
+    povm_to_json,
+)
 from framealign.sampling import mutual_info_of_counts
 
 from conftest import random_simplex
@@ -116,8 +122,78 @@ class TestPovmSpecValidation:
             for eff in projected:
                 assert np.linalg.eigvalsh(eff).min() >= -1e-10
 
+    def test_rejects_last_effect_non_psd(self):
+        # The stacked eigenvalue check must see every effect, the last included.
+        good = covariant_povm(3).effects
+        bad = good.copy()
+        bad[1] += np.diag([0.3, 0.0, 0.0])
+        bad[2] -= np.diag([0.3, 0.0, 0.0])
+        assert np.linalg.eigvalsh(bad[:2]).min() >= -1e-12
+        with pytest.raises(MalformedInput, match="positive semidefinite"):
+            PovmSpec(bad)
+
+    def test_projection_matches_per_effect_loop(self):
+        from framealign.povm import _project_to_povm
+
+        def reference(effects):
+            clipped = np.empty_like(effects)
+            for y in range(effects.shape[0]):
+                h = 0.5 * (effects[y] + effects[y].conj().T)
+                w, v = np.linalg.eigh(h)
+                clipped[y] = (v * np.maximum(w, 0.0)) @ v.conj().T
+            total = clipped.sum(axis=0)
+            w, v = np.linalg.eigh(0.5 * (total + total.conj().T))
+            inv_half = (v * (1.0 / np.sqrt(np.maximum(w, 1e-12)))) @ v.conj().T
+            out = inv_half @ clipped @ inv_half
+            return 0.5 * (out + out.conj().transpose(0, 2, 1))
+
+        rng = np.random.default_rng(71)
+        for k, m in [(3, 3), (16, 16), (4, 2), (7, 5)]:
+            g = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
+            assert np.array_equal(_project_to_povm(g), reference(g))
+
+
+class TestDenseBudget:
+    # Every size here is rejected before the dense array is built.
+    def test_ensemble_over_budget(self):
+        m = 8192
+        with pytest.raises(ResourceLimit):
+            ensemble_states(zstate(np.full(m, 1.0 / m)), 1)
+
+    def test_covariant_povm_over_budget(self):
+        with pytest.raises(ResourceLimit):
+            covariant_povm(1024)
+
+    def test_optimizer_outcomes_over_budget(self, z2_skew):
+        ens = ensemble_states(z2_skew, 1)
+        with pytest.raises(ResourceLimit):
+            optimize_povm(ens, OptimizerConfig(outcomes=(MAX_DENSE_ENTRIES >> 2) + 1))
+
+    def test_m256_fits(self):
+        assert 256**3 <= MAX_DENSE_ENTRIES
+
 
 class TestMutualInfoOfPovm:
+    def test_table_matches_per_cell_oracle(self):
+        from framealign.povm import EnsembleSpec, _project_to_povm
+
+        rng = np.random.default_rng(73)
+        for m, k in [(2, 3), (3, 5), (4, 2), (5, 9), (6, 4)]:
+            g = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
+            # g g^dagger is Hermitian and almost surely positive definite.
+            effects = _project_to_povm(g @ g.conj().transpose(0, 2, 1))
+            assert np.linalg.eigvalsh(effects).min() > 0
+            povm = PovmSpec(effects)
+            states = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            ens = EnsembleSpec(m, np.ones(m), states, np.full(m, 1.0 / m))
+            table = conditional_table(ens, povm)
+            oracle = np.array(
+                [[np.vdot(psi, e @ psi).real for e in effects] for psi in states]
+            )
+            assert table.shape == (m, k)
+            assert np.max(np.abs(table - oracle)) <= 1e-13
+
     def test_scaled_identity_gives_zero(self, z4_psi):
         ens = ensemble_states(z4_psi, 2)
         effects = np.array([np.eye(4) / 4.0] * 4, dtype=complex)

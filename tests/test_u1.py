@@ -25,7 +25,12 @@ from framealign.core import (
     ResourceLimit,
     ZeroVariance,
 )
-from framealign.u1 import distribution_variance, offset_density_grid
+from framealign.u1 import (
+    DEFAULT_COEFF_CAP,
+    MAX_GRID_POINTS,
+    distribution_variance,
+    offset_density_grid,
+)
 
 from conftest import random_simplex
 
@@ -180,6 +185,14 @@ class TestCovariantMutualInfo:
     def test_grid_too_coarse(self, qubit_half):
         with pytest.raises(GridTooCoarse):
             covariant_mutual_info_u1(qubit_half, 100, QuadratureSpec(256))
+
+    def test_grid_limit_is_largest_automatic_grid(self):
+        # Rejected before any grid is allocated.
+        assert QuadratureSpec.for_length(DEFAULT_COEFF_CAP).grid_points == MAX_GRID_POINTS
+        with pytest.raises(ResourceLimit):
+            QuadratureSpec(2 * MAX_GRID_POINTS)
+        with pytest.raises(ResourceLimit):
+            QuadratureSpec(1 << 40)
 
     def test_mi_tracks_gaussian_form(self, qubit_half):
         # I approaches 0.5*log2(8*pi*N*V/e) under the covariant measurement.

@@ -1,9 +1,9 @@
 """Command-line front end: asymmetries, rates, mutual information,
 composition gaps, superadditivity search, POVM optimization, and sampling.
 
-Exit codes: 0 success, 2 input error, 3 resource limit, 4 optimizer did not
-converge (the flagged result is still written).  Errors print one
-machine-readable JSON line to stderr.
+Exit codes: 0 success, 2 input error, 3 resource limit or out of memory, 4
+optimizer did not converge (the flagged result is still written).  Errors
+print one machine-readable JSON line to stderr.
 """
 from __future__ import annotations
 
@@ -65,9 +65,14 @@ class RunConfig:
     tie_tolerance: float = S_TIE_REL
 
 
+def _report(error: str, message: str) -> None:
+    """The one machine-readable stderr line of a nonzero exit."""
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # single-line machine-readable diagnostics
-        print(json.dumps({"error": "UsageError", "message": message}), file=sys.stderr)
+    def error(self, message):
+        _report("UsageError", message)
         raise SystemExit(EXIT_INPUT)
 
 
@@ -146,6 +151,8 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, (np.floating, np.integer)):
         return _jsonify(value.item())
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu":  # no inf or NaN to rewrite
+            return value.tolist()
         return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -237,6 +244,13 @@ def _series_rows(
     ]
 
 
+def _grid_for(state: StandardState, args) -> int | None:
+    """--grid sets the U(1) quadrature; a cyclic state has none to set."""
+    if args.grid is not None and state.group.is_cyclic:
+        raise MalformedInput("--grid applies to U(1) states only")
+    return args.grid
+
+
 def _cyclic_points(state: StandardState, n_list: list[int], *keys: str) -> list[dict]:
     rows = _series_rows(state, n_list, None)
     return [{key: row[key] for key in ("n", *keys)} for row in rows]
@@ -261,11 +275,11 @@ def _cmd_mi(args, cfg: RunConfig) -> int:
     state = _resolve_state(args, cfg)
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
-    cfg.grid = args.grid
+    cfg.grid = _grid_for(state, args)
     if state.group.is_cyclic:
         points = _cyclic_points(state, n_list, "i_bits", "i_deficit")
     else:
-        quad = u1.QuadratureSpec(args.grid) if args.grid is not None else None
+        quad = u1.QuadratureSpec(cfg.grid) if cfg.grid is not None else None
         points = [
             {
                 "n": n,
@@ -282,8 +296,8 @@ def _cmd_rate(args, cfg: RunConfig) -> int:
     state = _resolve_state(args, cfg)
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
-    cfg.grid = args.grid
-    rows = _series_rows(state, n_list, args.grid)
+    cfg.grid = _grid_for(state, args)
+    rows = _series_rows(state, n_list, cfg.grid)
     # Every row carries the limiting rate as its target.
     summary: dict = {"rate_bits": rows[0]["target"]}
     if state.group.is_cyclic:
@@ -374,11 +388,10 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
         seed=args.seed,
     )
     result = povm.optimize_povm(ens, opt_cfg)
-    covariant_value = povm.mutual_info_of_povm(ens, povm.covariant_povm(state.group.M))
     _emit_json(
         {
             "mi_bits": result.mi_bits,
-            "covariant_mi_bits": covariant_value,
+            "covariant_mi_bits": cyclic.covariant_mutual_info_zm(state, n)[0],
             "converged": result.converged,
             "restart_index": result.restart_index,
             "iterations": len(result.trace),
@@ -386,7 +399,10 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
         },
         cfg,
     )
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
+    if result.converged:
+        return EXIT_OK
+    _report("NotConverged", f"unconverged after {len(result.trace)} iterations")
+    return EXIT_NONCONVERGED
 
 
 def _cmd_sample(args, cfg: RunConfig) -> int:
@@ -400,8 +416,7 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     cfg.n_list = n_list
     cfg.shots = args.shots
     cfg.seed = args.seed
-    measurement = povm.covariant_povm(state.group.M)
-    record = sampling.simulate_protocol(state, n, measurement, args.shots, args.seed)
+    record = sampling.simulate_protocol(state, n, None, args.shots, args.seed)
     estimate, corrected = sampling.plugin_mi(record)
     if cfg.format == "csv":
         _emit(sampling.counts_to_csv(record), cfg.out)
@@ -418,11 +433,17 @@ def _cmd_sample(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _add_state_args(sub) -> None:
@@ -436,11 +457,11 @@ def _add_state_args(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument(
-        "--workers", type=_positive_int, default=1,
+        "--workers", type=_int_at_least(1), default=1,
         help="search threads, each drawing its own seeded trials (default 1); "
         "the search witness depends on it, and no other subcommand uses it",
     )
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,11 +532,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args, cfg)
+    except MemoryError as exc:  # numpy raises a private subclass: one stable name
+        _report("MemoryError", str(exc))
+        return EXIT_RESOURCE
     except FrameAlignError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        _report(type(exc).__name__, str(exc))
         return EXIT_RESOURCE if isinstance(exc, ResourceLimit) else EXIT_INPUT
 
 

@@ -189,18 +189,25 @@ def _rate_of(r_max: float) -> float | _InfiniteRate:
     return -2.0 * math.log2(r_max)
 
 
-def _mi_deficit(dev: DeviationVector) -> float:
-    """log2(M) minus the covariant mutual information, from the deviations."""
+def offset_distribution(dev: DeviationVector) -> np.ndarray:
+    """Fourier-basis outcome distribution over the offset j = (x - y) mod M,
+    q_j = |sum_k sqrt(c_k) e^{2 pi i k j / M}|^2 / M, so p(y|x) = q_{(x-y) mod M}.
+
+    For j != 0 the flat part of sqrt(c_k) cancels, so q_j is built from
+    sqrt(1+Delta)-1 terms and stays accurate when the deviations are tiny.
+    """
     m = dev.M
-    # Conditional outcome distribution over the offset j = (x - y) mod M:
-    # q_j = |sum_k sqrt(c_k) e^{2 pi i k j / M}|^2 / M.  For j != 0 the flat
-    # part of sqrt(c_k) cancels, so q_j is built from sqrt(1+Delta)-1 terms
-    # and stays accurate when the deviations are tiny.
     with np.errstate(divide="ignore", invalid="ignore"):
         shifted = np.expm1(0.5 * np.log1p(dev.deltas))
     shifted[dev.deltas == -1.0] = -1.0
     w = dft_vector(shifted)
-    q_off = np.abs(w[1:]) ** 2 / (m * m)
+    w[0] += m  # the flat part survives at j = 0 only
+    return np.abs(w) ** 2 / (m * m)
+
+
+def _mi_deficit(dev: DeviationVector) -> float:
+    """log2(M) minus the covariant mutual information, from the deviations."""
+    q_off = offset_distribution(dev)[1:]
     t = math.fsum(q_off.tolist())
     diag = -(1.0 - t) * math.log1p(-t)
     off = -math.fsum(xlogy(q_off, q_off).tolist())

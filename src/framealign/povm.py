@@ -15,10 +15,13 @@ from .core import (
     ResourceLimit,
     StandardState,
 )
-from .cyclic import copy_distribution_zm
+from .cyclic import copy_distribution_zm, offset_distribution
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
+# Gradient entries stay below ln(1e300) ~ 691 in size, so an ascent step up
+# to this keeps every update finite.
+MAX_STEP = 1e300
 
 # Largest dense complex array the POVM layer builds (256 MiB); M = 256 fits.
 MAX_DENSE_ENTRIES = 1 << 24
@@ -94,6 +97,8 @@ class OptimizerConfig:
             raise MalformedInput("restarts and max_iters must be positive")
         if not all(math.isfinite(v) and v > 0 for v in (self.step_size, self.tol)):
             raise MalformedInput("step_size and tol must be positive and finite")
+        if self.step_size > MAX_STEP:
+            raise MalformedInput(f"step_size must be at most {MAX_STEP}")
         if self.outcomes is not None and self.outcomes < 1:
             raise MalformedInput("outcomes must be positive")
 
@@ -129,6 +134,14 @@ def covariant_povm(m: int) -> PovmSpec:
     basis = np.exp(2j * math.pi * np.outer(k, k) / m) / math.sqrt(m)
     effects = np.einsum("ky,ly->ykl", basis, basis.conj())
     return PovmSpec(effects)
+
+
+def covariant_table(state: StandardState, n_copies: int) -> np.ndarray:
+    """p(y|x) of the Fourier-basis measurement as an (M, M) circulant,
+    entry [x, y] = q[(x - y) mod M], from one length-M FFT."""
+    from scipy.linalg import circulant  # deferred: it adds ~25 ms to CLI start-up
+
+    return circulant(offset_distribution(copy_distribution_zm(state, n_copies)[1]))
 
 
 def conditional_table(ens: EnsembleSpec, povm: PovmSpec) -> np.ndarray:

@@ -8,8 +8,15 @@ from io import StringIO
 
 import numpy as np
 
-from .core import LN2, MalformedInput, StandardState, shannon_entropy
-from .povm import PovmSpec, conditional_table, ensemble_states
+from .core import LN2, MalformedInput, ResourceLimit, StandardState, shannon_entropy
+from .povm import PovmSpec, conditional_table, covariant_table, ensemble_states
+
+# Largest M x K outcome table a simulation draws from: M = 2048 for the
+# Fourier-basis measurement.  The table, the int64 counts and their JSON or
+# CSV text all grow with M * K: `framealign sample --group z2048` peaks at
+# 0.46 GB in JSON with 10^6 shots and at 0.61 GB with every cell filled
+# (10^12 shots), while M = 2896 (2^23 cells) reaches 0.85 GB.
+MAX_SAMPLE_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -35,26 +42,34 @@ class SampleRecord:
 def simulate_protocol(
     state: StandardState,
     n_copies: int,
-    povm: PovmSpec,
+    povm: PovmSpec | None,
     shots: int,
     seed: int,
 ) -> SampleRecord:
     """Sample the hidden shift uniformly and the outcome from p(y|x).
 
+    `povm=None` is the Fourier-basis measurement, whose p(y|x) is the
+    circulant `covariant_table`; no dense POVM is built for it.
     Bit-identical counts for identical (seed, shots, inputs).
     """
     if shots < 1:
         raise MalformedInput("shots must be >= 1")
-    ens = ensemble_states(state, n_copies)
-    cond = conditional_table(ens, povm)
+    m = state.group.dim
+    cells = m * (m if povm is None else povm.n_outcomes)
+    if cells > MAX_SAMPLE_CELLS:
+        raise ResourceLimit(f"a {cells}-cell outcome table > {MAX_SAMPLE_CELLS}")
+    if povm is None:
+        cond = covariant_table(state, n_copies)
+    else:
+        cond = conditional_table(ensemble_states(state, n_copies), povm)
     cond = cond / cond.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(seed)
-    x_counts = rng.multinomial(shots, np.full(ens.M, 1.0 / ens.M))
+    x_counts = rng.multinomial(shots, np.full(m, 1.0 / m))
     counts = np.zeros_like(cond, dtype=np.int64)
-    for x in range(ens.M):
+    for x in range(m):
         if x_counts[x]:
             counts[x] = rng.multinomial(x_counts[x], cond[x])
-    return SampleRecord(ens.M, shots, counts, seed)
+    return SampleRecord(m, shots, counts, seed)
 
 
 def mutual_info_of_counts(counts) -> float:

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from framealign import GroupSpec, save_state, validate_state
+from framealign import GroupSpec, cli, sampling, save_state, validate_state
 from framealign.cli import main
 from framealign.povm import povm_from_json
 
@@ -228,6 +230,12 @@ class TestOptimizeCommand:
         assert obj["converged"] is False
         assert obj["mi_bits"] > 0
 
+    def test_nonconvergence_prints_one_json_line(self, capsys, tmp_path):
+        argv = ["optimize", "--group", "z3", "--probs", "0.6,0.3,0.1", "--n", "1"]
+        argv += ["--restarts", "1", "--max-iters", "3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 4
+        assert_one_json_error(capsys, "NotConverged")
+
 
 class TestSampleCommand:
     def test_json_output(self, tmp_path):
@@ -352,15 +360,67 @@ class TestInputRejection:
         assert main(argv + ["--grid", str(1 << 40)]) == 3
         assert_one_json_error(capsys, "ResourceLimit")
 
-    def test_sample_povm_over_budget_exits_3(self, capsys):
-        probs = ",".join(["1/1024"] * 1024)
-        assert main(["sample", "--group", "z1024", "--probs", probs, "--n", "1"]) == 3
+    def test_sample_povm_over_budget_exits_3(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("table built above the sample limit")
+
+        monkeypatch.setattr(sampling, "covariant_table", unreachable)
+        probs = ",".join(["1/2049"] * 2049)
+        assert main(["sample", "--group", "z2049", "--probs", probs, "--n", "1"]) == 3
         assert_one_json_error(capsys, "ResourceLimit")
+
+    def test_sample_z1024_runs(self, tmp_path):
+        probs = ",".join(["1/512", "0"] * 512)
+        argv = ["sample", "--group", "z1024", "--probs", probs, "--n", "2"]
+        obj = run_json(tmp_path, argv + ["--shots", "1000"])
+        assert np.array(obj["counts"]).shape == (1024, 1024)
+
+    @pytest.mark.parametrize("sub", ["mi", "rate"])
+    def test_grid_on_cyclic_state_exits_2(self, capsys, tmp_path, sub):
+        argv = [sub, "--group", "z4", "--probs", "0.4,0.3,0.2,0.1", "--n", "2"]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--grid", "0", "--out", str(out)]) == 2
+        assert_one_json_error(capsys, "MalformedInput")
+        assert main(argv + ["--grid", "1024", "--out", str(out)]) == 2
+        assert_one_json_error(capsys, "MalformedInput")
+        assert not out.exists()
+
+    class ArrayMemoryError(MemoryError):  # like numpy's private subclass
+        pass
+
+    @pytest.mark.parametrize("error", [MemoryError, ArrayMemoryError])
+    def test_memory_error_exits_3(self, capsys, monkeypatch, error):
+        def exhausted(args, cfg):
+            raise error("cannot allocate")
+
+        monkeypatch.setattr(cli, "_cmd_rate", exhausted)
+        assert main(["rate", "--group", "z2", "--probs", "3/4,1/4"]) == 3
+        assert_one_json_error(capsys, "MemoryError")
+
+    def test_negative_seed_exits_2(self, capsys):
+        argv = ["sample", "--group", "z2", "--probs", "3/4,1/4"]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert_one_json_error(capsys, "UsageError")
+
+    def test_step_above_limit_exits_2(self, capsys):
+        argv = ["optimize", "--group", "z3", "--probs", "0.5,0.5,0", "--n", "1"]
+        assert main(argv + ["--step", "1e308"]) == 2
+        assert_one_json_error(capsys, "MalformedInput")
 
     def test_optimize_outcomes_over_budget_exits_3(self, capsys):
         argv = ["optimize", "--group", "z4", "--probs", ",".join(PSI), "--n", "1"]
         assert main(argv + ["--outcomes", str(1 << 21)]) == 3
         assert_one_json_error(capsys, "ResourceLimit")
+
+
+class TestJsonify:
+    def test_arrays(self):
+        ints = cli._jsonify(np.array([[1, 2], [3, 4]], dtype=np.int64))
+        assert ints == [[1, 2], [3, 4]] and type(ints[0][0]) is int
+        assert cli._jsonify(np.array([True, False])) == [True, False]
+        assert cli._jsonify(np.array([1.5, np.inf])) == [1.5, "inf"]
+        with pytest.raises(ValueError):
+            cli._jsonify(np.array([np.nan]))
 
 
 class TestStateFileInput:
@@ -374,3 +434,114 @@ class TestStateFileInput:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+# --- CLI fuzz -----------------------------------------------------------------
+
+FUZZ_FILES = {
+    "z4": '{"group": {"kind": "cyclic", "M": 4}, "probs": [0.4, 0.3, 0.2, 0.1]}',
+    "z3": '{"group": {"kind": "cyclic", "M": 3}, "probs": [0.5, 0.5, 0]}',
+    "u1": '{"group": {"kind": "u1", "d": 2}, "probs": [0.5, 0.5]}',
+    "nan": '{"group": {"kind": "cyclic", "M": 2}, "probs": [NaN, 1.0]}',
+    "junk": "not json",
+}
+FUZZ_TOKENS = ("1/2", "1/4", "0", "1", "0.3", "-1/4", "nan", "inf", "x", "")
+STATE_FLAGS = ("--n", "--n-list", "--seed", "--workers")
+FUZZ_FLAGS = {
+    "asymmetry": STATE_FLAGS,
+    "mi": STATE_FLAGS + ("--grid",),
+    "rate": STATE_FLAGS + ("--grid", "--format"),
+    "superadd": ("--seed", "--workers"),
+    "search": ("--trials", "--seed", "--workers"),
+    "optimize": STATE_FLAGS + ("--restarts", "--outcomes", "--max-iters", "--step"),
+    "sample": STATE_FLAGS + ("--format", "--shots"),
+}
+_file = st.sampled_from([*FUZZ_FILES, "missing"]).map(lambda k: f"@{k}")
+FUZZ_VALUES = {
+    "--group": st.sampled_from(["z2", "z3", "Z4", "u1", "z1", "q5"]),
+    "--probs": st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=4).map(
+        ",".join
+    ),
+    "--state": _file,
+    "--a": _file,
+    "--b": _file,
+    "--n": st.integers(-1, 6),
+    "--n-list": st.lists(st.integers(-1, 12), max_size=3).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    "--grid": st.sampled_from([0, 7, 64, 100, 1 << 40]),
+    "--trials": st.integers(-5, 200),
+    "--restarts": st.integers(-1, 2),
+    "--outcomes": st.integers(-1, 6),
+    "--max-iters": st.integers(-1, 20),
+    "--step": st.sampled_from(["0.1", "2", "0", "-1", "nan", "1e308"]),
+    "--shots": st.integers(-5, 2000),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--workers": st.sampled_from([1, 2, 3, 0]),
+    "--seed": st.sampled_from([0, 1, 7, -1]),
+}
+# Inputs that pass validation, so that most runs reach the numerics.
+VALID_INPUTS = {
+    "state": st.sampled_from(
+        [
+            ["--group", "z2", "--probs", "3/4,1/4"],
+            ["--group", "z3", "--probs", "1/2,1/4,1/4"],
+            ["--group", "z4", "--probs", "0.4,0.3,0.2,0.1"],
+            ["--group", "Z4", "--probs", "1,0,0,0"],
+            ["--group", "u1", "--probs", "1/2,1/4,1/4"],
+            ["--state", "@z4"],
+        ]
+    ),
+    "superadd": st.sampled_from(
+        [["--a", "@z4", "--b", "@z4"], ["--a", "@z3", "--b", "@z3"]]
+    ),
+    "search": st.sampled_from([["--group", "z3"], ["--group", "z4"]]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with a random subset of its flags; now and then a
+    malformed input or a flag it does not read."""
+    sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [sub]
+    if draw(st.integers(0, 3)):
+        argv += draw(VALID_INPUTS.get(sub, VALID_INPUTS["state"]))
+    else:
+        inputs = {"superadd": ("--a", "--b"), "search": ("--group",)}
+        for flag in inputs.get(sub, ("--group", "--probs")):
+            argv += [flag, str(draw(FUZZ_VALUES[flag]))]
+    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[sub]), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    for flag in flags:
+        argv += [flag, str(draw(FUZZ_VALUES[flag]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+class TestCliFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=cli_argv())
+    def test_documented_exit_and_one_json_error_line(self, capsys, fuzz_files, argv):
+        argv = [str(fuzz_files / f"{a[1:]}.json") if a[:1] == "@" else a for a in argv]
+        rc = main(argv + ["--out", str(fuzz_files / "out.txt")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            assert err == ""
+        else:
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}

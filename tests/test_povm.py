@@ -19,10 +19,11 @@ from framealign.povm import (
     MAX_DENSE_ENTRIES,
     PovmSpec,
     conditional_table,
+    covariant_table,
     povm_from_json,
     povm_to_json,
 )
-from framealign.sampling import mutual_info_of_counts
+from framealign.sampling import mutual_info_of_counts, simulate_protocol
 
 from conftest import random_simplex
 
@@ -270,6 +271,35 @@ class TestMutualInfoOfPovm:
                 assert table[x, y] == pytest.approx(
                     table[0, (y - x) % 4], abs=1e-13
                 )
+
+
+class TestCovariantTable:
+    """The circulant Fourier-basis table against the dense POVM contraction."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 31, 64])
+    def test_matches_dense_povm(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        sparse = random_simplex(rng, m)
+        sparse[rng.choice(m, m // 2, replace=False)] = 0.0
+        plus = np.full(m, 1.0 / m)
+        for probs in (random_simplex(rng, m), sparse / sparse.sum(), plus):
+            state = zstate(probs)
+            dense = conditional_table(ensemble_states(state, n), covariant_povm(m))
+            assert np.max(np.abs(covariant_table(state, n) - dense)) <= 1e-14
+
+    def test_rows_are_distributions_with_the_analytic_information(self, z4_psi):
+        table = covariant_table(z4_psi, 3)
+        assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-15
+        analytic, _ = covariant_mutual_info_zm(z4_psi, 3)
+        assert mutual_info_of_counts(table / 4) == pytest.approx(analytic, abs=1e-13)
+
+    def test_sampling_without_povm_draws_from_the_table(self, z4_psi):
+        shots = 40_000
+        rec = simulate_protocol(z4_psi, 2, None, shots, seed=8)
+        rows = rec.counts / rec.counts.sum(axis=1, keepdims=True)
+        table = covariant_table(z4_psi, 2)
+        assert np.max(np.abs(rows - table)) <= 5 / math.sqrt(shots / 4)
 
 
 class TestOptimizePovm:

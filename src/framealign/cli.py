@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -159,6 +160,14 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     return value
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out that cannot be written, before anything is computed."""
+    if not out:
+        return
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise MalformedInput(f"--out {out!r} is not a file in an existing directory")
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -455,11 +464,14 @@ def _add_state_args(sub) -> None:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--out", help="output path (default: stdout)")
+    sub.add_argument(
+        "--out", help="output file in an existing directory (default: stdout)"
+    )
     sub.add_argument(
         "--workers", type=_int_at_least(1), default=1,
-        help="search threads, each drawing its own seeded trials (default 1); "
-        "the search witness depends on it, and no other subcommand uses it",
+        help="threads that run the search's seeded blocks (default 1, at most "
+        "the CPU count); the witness does not depend on it, and no other "
+        "subcommand uses it",
     )
     sub.add_argument("--seed", type=_int_at_least(0), default=0)
 
@@ -531,6 +543,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
     )
     try:
+        _check_out(args.out)
         return args.func(args, cfg)
     except MemoryError as exc:  # numpy raises a private subclass: one stable name
         _report("MemoryError", str(exc))

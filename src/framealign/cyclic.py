@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -39,6 +40,10 @@ ORACLE_GUARD = 10_000_000
 # exponent (base-2) the asymptotic prediction is reported instead, flagged
 # as extrapolated in rate series.
 EXTRAPOLATION_LOG2 = -980.0
+
+# Cells (trials x M) drawn per factor in one search block: 512 KiB of
+# float64, so a block's draws and transforms stay in a core's L2 cache.
+SEARCH_BLOCK_CELLS = 1 << 16
 
 
 class _InfiniteRate:
@@ -292,29 +297,31 @@ def zm_rate_series(state: StandardState, n_list: Sequence[int]) -> list[ZmRatePo
 
 
 def _cyclic_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """q_k = sum_j x_j y_{(k-j) mod M}: the linear convolution with its tail
+    folded onto its head, in O(M) memory."""
     m = x.size
-    table = y[(np.arange(m)[:, None] - np.arange(m)[None, :]) % m]
-    return table @ x
+    full = np.convolve(x, y)
+    q = full[:m].copy()
+    q[: m - 1] += full[m:]
+    return q
 
 
-def _gap_bits(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Additivity gap 2*(log2 max ra + log2 max rb - log2 max ra*rb), in bits.
+def _gap_bits(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Additivity gap 2*(log2 max ra + log2 max rb - log2 max ra*rb), in bits,
+    computed as log2(max sa * max sb / max sa*sb) from squared moduli.
 
-    ra and rb hold the nontrivial transform moduli of the two factors along
-    the last axis; the composed moduli are their product because
-    |DFT(a*b)| = |DFT a| |DFT b|.  The gap is identically zero for M = 2 (a
-    single nontrivial index) and M = 3 (the two indices are conjugate), so
-    those orders return exact zeros instead of rounding noise.
+    sa and sb hold the squared transform moduli of the two factors at the
+    nontrivial indices 1..M//2 along axis 0 (the rest are their conjugates);
+    the composed moduli are the product because |DFT(a*b)| = |DFT a| |DFT b|.
+    The gap does not depend on the scale of sa or sb, and it is never
+    negative: the product of the maxima rounds to at least the largest
+    rounded product.  With a single index (M = 2, and M = 3 whose two indices
+    are conjugate) the gap is identically zero, returned as exact zeros.
     """
-    if ra.shape[-1] <= 2:
-        return np.zeros(ra.shape[:-1])
+    if sa.shape[0] == 1:
+        return np.zeros(sa.shape[1:])
     with np.errstate(divide="ignore"):
-        gaps = 2.0 * (
-            np.log2(ra.max(axis=-1))
-            + np.log2(rb.max(axis=-1))
-            - np.log2((ra * rb).max(axis=-1))
-        )
-    return np.where((gaps >= -1e-10) & (gaps < 0.0), 0.0, gaps)
+        return np.log2(sa.max(axis=0) * sb.max(axis=0) / (sa * sb).max(axis=0))
 
 
 def _compose_profiles(
@@ -337,7 +344,8 @@ def _compose_profiles(
     elif rates[2] is INFINITE_RATE:
         gap = math.inf
     else:
-        gap = float(_gap_bits(prof_a.r[1:], prof_b.r[1:]))
+        half = slice(1, prof_a.M // 2 + 1)
+        gap = float(_gap_bits(prof_a.r[half] ** 2, prof_b.r[half] ** 2))
     return omega, rates, gap
 
 
@@ -374,20 +382,30 @@ def superadditivity_gap(a: StandardState, b: StandardState) -> float:
 
 
 def _search_block(
-    m: int, n_trials: int, seed: int
+    m: int, n_trials: int, seed: int, block: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    pa = rng.exponential(1.0, size=(n_trials, m))
-    pa /= pa.sum(axis=1, keepdims=True)
-    pb = rng.exponential(1.0, size=(n_trials, m))
-    pb /= pb.sum(axis=1, keepdims=True)
-    ra = np.abs(np.fft.ifft(pa, axis=1))[:, 1:] * m
-    rb = np.abs(np.fft.ifft(pb, axis=1))[:, 1:] * m
-    gaps = _gap_bits(ra, rb)
-    best = float(gaps.max())
-    idx = np.flatnonzero(gaps == best)
-    key = min(idx, key=lambda i: (tuple(pa[i]), tuple(pb[i])))
-    return best, pa[key], pb[key]
+    """Largest gap among the block's trials and its normalized witness.
+
+    Each trial is a column of two (M, n) exponential draws; only the tied
+    columns are normalized, and ties go to the lexicographically smallest
+    (a, b).  The witness columns are copies, so no view keeps the block's
+    draws alive after it returns.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+    draws = [rng.standard_exponential((m, n_trials)) for _ in range(2)]
+    sa, sb = (np.fft.rfft(p, axis=0)[1 : m // 2 + 1] for p in draws)
+    gaps = _gap_bits(sa.real**2 + sa.imag**2, sb.real**2 + sb.imag**2)
+    best = gaps.max()
+    tied = np.flatnonzero(gaps == best)
+    pa, pb = (p[:, tied] / p[:, tied].sum(axis=0) for p in draws)
+    first = np.lexsort(np.vstack([pa, pb])[::-1])[0]
+    return float(best), pa[:, first].copy(), pb[:, first].copy()
+
+
+def _witness_key(found: tuple[float, np.ndarray, np.ndarray]) -> tuple:
+    """Order witnesses by descending gap, then lexicographically by (a, b)."""
+    gap, a, b = found
+    return -gap, tuple(a), tuple(b)
 
 
 def search_superadditive(
@@ -396,30 +414,36 @@ def search_superadditive(
     """Randomized search for pairs with a positive additivity gap.
 
     Probabilities are drawn uniformly from the simplex (normalized
-    exponentials).  Deterministic given (seed, workers): worker w consumes
-    seed + w, and ties break toward the lexicographically smallest witness.
+    exponentials) in blocks of at most SEARCH_BLOCK_CELLS trial entries
+    (at least one trial each); block b draws from SeedSequence([seed, b]).
+    The witness is the largest gap over all blocks, ties going to the
+    lexicographically smallest (a, b), so it depends only on (m, trials,
+    seed).  `workers` sets only how many threads run the blocks, at most
+    one per block and per CPU; memory stays O(max(m, SEARCH_BLOCK_CELLS))
+    per thread.
     """
     if m < 2:
         raise MalformedInput("m must be >= 2")
     if trials < 1:
         raise MalformedInput("trials must be >= 1")
-    workers = max(1, int(workers))
-    workers = min(workers, trials)
-    budgets = [trials // workers + (1 if w < trials % workers else 0) for w in range(workers)]
-    jobs = [(m, budgets[w], seed + w) for w in range(workers) if budgets[w] > 0]
-    if len(jobs) == 1:
-        blocks = [_search_block(*jobs[0])]
+    per_block = max(1, SEARCH_BLOCK_CELLS // m)
+    n_blocks = -(-trials // per_block)
+    threads = min(max(1, int(workers)), n_blocks, os.cpu_count() or 1)
+
+    def run(first: int) -> tuple[float, np.ndarray, np.ndarray]:
+        return min(
+            (
+                _search_block(m, min(per_block, trials - b * per_block), seed, b)
+                for b in range(first, n_blocks, threads)
+            ),
+            key=_witness_key,
+        )
+
+    if threads == 1:
+        found = [run(0)]
     else:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            blocks = list(pool.map(lambda j: _search_block(*j), jobs))
-    best_gap = max(gap for gap, _, _ in blocks)
-    candidates = [
-        (tuple(pa), tuple(pb)) for gap, pa, pb in blocks if gap == best_gap
-    ]
-    wa, wb = min(candidates)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            found = list(pool.map(run, range(threads)))
+    gap, a, b = min(found, key=_witness_key)
     group = GroupSpec.cyclic(m)
-    return SearchResult(
-        StandardState(group, np.array(wa)),
-        StandardState(group, np.array(wb)),
-        best_gap,
-    )
+    return SearchResult(StandardState(group, a), StandardState(group, b), gap)

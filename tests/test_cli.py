@@ -329,6 +329,22 @@ class TestInputRejection:
         del default["config"]["out"], explicit["config"]["out"]
         assert default == explicit
 
+    @pytest.mark.parametrize("out", ["missing/x.json", "."])
+    def test_unwritable_out_exits_2_before_computing(
+        self, capsys, monkeypatch, tmp_path, out
+    ):
+        def refuse(args, cfg):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(cli, "_cmd_asymmetry", refuse)
+        target = tmp_path / out
+        rc = main(
+            ["asymmetry", "--group", "z2", "--probs", "3/4,1/4", "--out", str(target)]
+        )
+        assert rc == 2
+        assert_one_json_error(capsys, "MalformedInput")
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, capsys, workers):
         rc = main(["search", "--group", "z4", "--trials", "10", "--workers", workers])
@@ -533,12 +549,16 @@ class TestCliFuzz:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(argv=cli_argv())
-    def test_documented_exit_and_one_json_error_line(self, capsys, fuzz_files, argv):
+    @given(argv=cli_argv(), out=st.sampled_from(["out.txt", "missing/out.txt"]))
+    def test_documented_exit_and_one_json_error_line(
+        self, capsys, fuzz_files, argv, out
+    ):
         argv = [str(fuzz_files / f"{a[1:]}.json") if a[:1] == "@" else a for a in argv]
-        rc = main(argv + ["--out", str(fuzz_files / "out.txt")])
+        rc = main(argv + ["--out", str(fuzz_files / out)])
         err = capsys.readouterr().err
         assert rc in (0, 2, 3, 4)
+        if out.startswith("missing"):
+            assert rc == 2
         if rc == 0:
             assert err == ""
         else:

@@ -26,6 +26,7 @@ from framealign.core import (
     MalformedInput,
     ResourceLimit,
 )
+from framealign import cyclic
 from framealign.cyclic import EXTRAPOLATION_LOG2, _oracle_dp, _oracle_enumerate
 
 from conftest import graded_prob_vectors, prob_vectors, random_simplex
@@ -306,6 +307,19 @@ class TestTensorCompose:
         with pytest.raises(GroupMismatch):
             tensor_compose(z4_psi, z2_skew)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 64])
+    def test_convolution_matches_double_loop(self, m):
+        rng = np.random.default_rng(53 + m)
+        a, b = random_simplex(rng, m), random_simplex(rng, m)
+        terms = [[] for _ in range(m)]
+        for j in range(m):
+            for k in range(m):
+                terms[(j + k) % m].append(a[j] * b[k])
+        expected = np.array([math.fsum(t) for t in terms])
+        assert np.max(np.abs(cyclic._cyclic_convolve(a, b) - expected)) <= 1e-15
+        composed = tensor_compose(zstate(a), zstate(b)).composed.probs
+        assert np.max(np.abs(composed - expected)) <= 1e-15
+
 
 class TestSuperadditivityGap:
     def test_documented_pair(self, z4_psi, z4_phi):
@@ -375,6 +389,154 @@ class TestSearch:
             search_superadditive(1, 10, seed=0)
         with pytest.raises(MalformedInput):
             search_superadditive(4, 0, seed=0)
+
+
+def _fake_block(calls):
+    """Stand-in for cyclic._search_block that records its sizes and
+    allocates nothing beyond a uniform witness."""
+
+    def block(m, n_trials, seed, index):
+        calls.append((index, n_trials))
+        uniform = np.full(m, 1.0 / m)
+        return 0.0, uniform, uniform
+
+    return block
+
+
+class _PoolRecorder:
+    """Stand-in for ThreadPoolExecutor that records max_workers and runs
+    the jobs in the calling thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestBlockedSearch:
+    @pytest.mark.parametrize("cells", [None, 48])
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    def test_workers_do_not_change_the_witness(self, monkeypatch, m, cells):
+        if cells is not None:
+            monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", cells)
+        monkeypatch.setattr(cyclic.os, "cpu_count", lambda: 3)
+        per_block = max(1, cyclic.SEARCH_BLOCK_CELLS // m)
+        trials = 3 * per_block + 5
+        results = [
+            search_superadditive(m, trials, seed=11, workers=w) for w in (1, 2, 3)
+        ]
+        for other in results[1:]:
+            assert other.gap_bits == results[0].gap_bits
+            assert np.array_equal(other.a.probs, results[0].a.probs)
+            assert np.array_equal(other.b.probs, results[0].b.probs)
+
+    @pytest.mark.parametrize(
+        "m, trials",
+        [
+            (2, 1),
+            (2, 10**7),
+            (4, 16384),
+            (4, 16385),
+            (7, 10**6),
+            (1 << 15, 9),
+            (1 << 16, 5),
+            ((1 << 16) + 3, 5),
+        ],
+    )
+    def test_blocks_respect_the_cell_budget(self, monkeypatch, m, trials):
+        calls = []
+        monkeypatch.setattr(cyclic, "_search_block", _fake_block(calls))
+        search_superadditive(m, trials, seed=0)
+        budget = max(m, cyclic.SEARCH_BLOCK_CELLS)
+        assert [index for index, _ in calls] == list(range(len(calls)))
+        assert all(1 <= n and n * m <= budget for _, n in calls)
+        assert sum(n for _, n in calls) == trials
+        # every block but the last is full
+        assert len({n for _, n in calls[:-1]}) <= 1
+        assert calls[-1][1] <= calls[0][1]
+
+    @pytest.mark.parametrize(
+        "workers, cpus, trials, expected",
+        [
+            (8, 2, 10**6, [2]),  # capped by the CPU count
+            (3, 4, 20_000, [2]),  # capped by the two blocks
+            (3, 4, 10**6, [3]),
+            (2, 2, 100, []),  # one block runs in the calling thread
+            (4, None, 10**6, []),  # unknown CPU count: one thread
+            (1, 8, 10**6, []),
+        ],
+    )
+    def test_thread_cap(self, monkeypatch, workers, cpus, trials, expected):
+        calls = []
+        monkeypatch.setattr(cyclic, "_search_block", _fake_block(calls))
+        monkeypatch.setattr(cyclic, "ThreadPoolExecutor", _PoolRecorder)
+        monkeypatch.setattr(_PoolRecorder, "sizes", [])
+        monkeypatch.setattr(cyclic.os, "cpu_count", lambda: cpus)
+        search_superadditive(4, trials, seed=0, workers=workers)
+        assert _PoolRecorder.sizes == expected
+        assert sorted(index for index, _ in calls) == list(range(len(calls)))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_witness_owns_its_data(self, m):
+        # A view would keep the whole block's draws alive.
+        _, a, b = cyclic._search_block(m, 500, 0, 0)
+        assert a.base is None and b.base is None
+        result = search_superadditive(m, 500, seed=0)
+        assert result.a.probs.base is None and result.b.probs.base is None
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_small_orders_exactly_zero_across_blocks(self, monkeypatch, m):
+        monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", 16)
+        assert search_superadditive(m, 200, seed=4).gap_bits == 0.0
+
+    def test_tie_across_blocks_is_lexicographic(self, monkeypatch):
+        witnesses = {
+            0: ([0.4, 0.2, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4]),
+            1: ([0.1, 0.3, 0.3, 0.3], [0.3, 0.3, 0.2, 0.2]),
+            2: ([0.1, 0.3, 0.3, 0.3], [0.2, 0.3, 0.2, 0.3]),
+            3: ([0.7, 0.1, 0.1, 0.1], [0.25] * 4),
+        }
+
+        def block(m, n_trials, seed, index):
+            a, b = witnesses[index]
+            return (2.5 if index < 3 else 1.0), np.array(a), np.array(b)
+
+        monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", 4)
+        monkeypatch.setattr(cyclic, "_search_block", block)
+        monkeypatch.setattr(cyclic.os, "cpu_count", lambda: 2)
+        for workers in (1, 2):
+            result = search_superadditive(4, 4, seed=0, workers=workers)
+            assert result.gap_bits == 2.5
+            assert result.a.probs.tolist() == witnesses[2][0]
+            assert result.b.probs.tolist() == witnesses[2][1]
+
+    def test_all_tied_orders_take_the_smallest_draw(self, monkeypatch):
+        # At M = 3 every trial ties at gap 0, so the witness is the
+        # lexicographically smallest normalized pair over every block, and
+        # block b draws from SeedSequence([seed, b]).
+        monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", 12)
+        m, trials, seed = 3, 30, 8
+        pairs = []
+        for index, start in enumerate(range(0, trials, 4)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+            n = min(4, trials - start)
+            pa, pb = (rng.standard_exponential((m, n)) for _ in range(2))
+            for i in range(n):
+                a, b = pa[:, i] / pa[:, i].sum(), pb[:, i] / pb[:, i].sum()
+                pairs.append((tuple(a.tolist()), tuple(b.tolist())))
+        a, b = min(pairs)
+        result = search_superadditive(m, trials, seed=seed)
+        assert tuple(result.a.probs.tolist()) == a
+        assert tuple(result.b.probs.tolist()) == b
 
 
 class TestRateSeries:

@@ -140,6 +140,16 @@ class TestAsymmetryAndMi:
         assert rc == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimit"
 
+    def test_u1_asymmetry_at_the_cap(self, tmp_path, capsys):
+        # N = 2^20 - 1 qubit copies fill the 2^20-coefficient cap exactly.
+        n = 1048575
+        argv = ["asymmetry", "--group", "u1", "--probs", "0.5,0.5", "--n"]
+        obj = run_json(tmp_path, argv + [str(n)])
+        gaussian = 0.5 * math.log2(math.pi * math.e * n / 2)
+        assert obj["points"][0]["h_bits"] == pytest.approx(gaussian, abs=1e-6)
+        assert main(argv + [str(n + 2)]) == 3
+        assert_one_json_error(capsys, "ResourceLimit")
+
     def test_n_list_must_increase(self, capsys):
         rc = main(["asymmetry", "--group", "z2", "--probs", "3/4,1/4", "--n-list", "4,2"])
         assert rc == 2

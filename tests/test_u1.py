@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import xlogy
 from scipy.stats import binom
 
 from framealign import (
@@ -24,6 +26,7 @@ from framealign.core import (
     MalformedInput,
     ResourceLimit,
     ZeroVariance,
+    shannon_entropy,
 )
 from framealign.u1 import (
     DEFAULT_COEFF_CAP,
@@ -44,6 +47,54 @@ BINOM_ENTROPY = {256: 5.047093736187617, 1024: 6.047095470300913, 4096: 7.047095
 
 def u1_state(probs):
     return validate_state(probs, GroupSpec.u1(len(probs)))
+
+
+def conv_power_oracle(p, n_copies):
+    """Direct-convolution oracle: n-fold linear self-convolution of p by
+    binary squaring with np.convolve, no Fourier transform anywhere."""
+    result = np.ones(1)
+    base = np.asarray(p, dtype=float)
+    k = n_copies
+    while True:
+        if k & 1:
+            result = np.convolve(result, base)
+        k >>= 1
+        if k == 0:
+            return result
+        base = np.convolve(base, base)
+
+
+def full_grid_mi(c):
+    """Covariant information by the trapezoid rule on the whole K-point grid:
+    one complex FFT, no use of the density's symmetry."""
+    k = QuadratureSpec.for_length(len(c)).grid_points
+    amp = np.zeros(k)
+    amp[: len(c)] = np.sqrt(c)
+    g = np.abs(np.fft.fft(amp)) ** 2
+    return max(math.fsum(xlogy(g, g).tolist()) / (k * math.log(2)), 0.0)
+
+
+def binomial_entropy_mp(n, p1):
+    """Entropy (bits) of Binomial(n, p1) from 30-digit loggamma terms over
+    mean +- 13 sigma; the terms left out are below 1e-35 each."""
+    with mp.workdps(30):
+        lp, lq = mp.log(mp.mpf(p1)), mp.log(1 - mp.mpf(p1))
+        lgn = mp.loggamma(n + 1)
+        mean, sd = n * p1, math.sqrt(n * p1 * (1 - p1))
+        h = mp.mpf(0)
+        for k in range(max(0, int(mean - 13 * sd)), min(n, int(mean + 13 * sd)) + 1):
+            lpk = lgn - mp.loggamma(k + 1) - mp.loggamma(n - k + 1) + k * lp + (n - k) * lq
+            h -= mp.exp(lpk) * lpk
+        return float(h / mp.log(2))
+
+
+def reachable_labels(probs, n_copies):
+    """Totals that n_copies draws from the support of probs can reach."""
+    step = (np.asarray(probs) > 0).astype(float)
+    reach = np.ones(1)
+    for _ in range(n_copies):
+        reach = (np.convolve(reach, step) > 0).astype(float)
+    return reach > 0
 
 
 def enumerate_copy_distribution(probs, n_copies):
@@ -97,7 +148,8 @@ class TestCopyDistribution:
                 assert np.max(np.abs(c - enumerate_copy_distribution(p, n))) <= 1e-12
 
     def test_doubling_matches_iterated(self):
-        # 65 copies takes the squaring path; 64 the iterated one.
+        # One more copy by direct convolution: the FFT power at 65 copies
+        # must agree with the one at 64 convolved once more with p.
         rng = np.random.default_rng(6)
         p = random_simplex(rng, 3)
         state = u1_state(p)
@@ -113,6 +165,16 @@ class TestCopyDistribution:
         rhs = np.convolve(copy_distribution_u1(state, 3).c, copy_distribution_u1(state, 4).c)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    @pytest.mark.parametrize("probs", [[0.0, 1.0], [0.0, 1.0, 0.0]])
+    def test_zero_variance_is_exact_point_mass(self, probs):
+        state = u1_state(probs)
+        for n in (1, 5, 1000):
+            c = copy_distribution_u1(state, n).c
+            expected = np.zeros(c.size)
+            expected[n * probs.index(1.0)] = 1.0
+            assert c.tolist() == expected.tolist()
+            assert u1_asymmetry(state, n) == 0.0
+
     def test_resource_limit(self, qubit_half):
         with pytest.raises(ResourceLimit):
             copy_distribution_u1(qubit_half, (1 << 20) + 1)
@@ -120,6 +182,62 @@ class TestCopyDistribution:
     def test_rejects_zero_copies(self, qubit_half):
         with pytest.raises(MalformedInput):
             copy_distribution_u1(qubit_half, 0)
+
+
+class TestFftPowerAccuracy:
+    """The stated bound: H and I within 5e-11 bits of exact references."""
+
+    def test_matches_direct_convolution(self):
+        rng = np.random.default_rng(31)
+        for d in (2, 3, 5):
+            for _ in range(2):
+                state = u1_state(random_simplex(rng, d))
+                for n in (1, 2, 7, 64, 65, 333, 4096):
+                    oracle = conv_power_oracle(state.probs, n)
+                    h = u1_asymmetry(state, n)
+                    assert abs(h - shannon_entropy(oracle)) <= 5e-11
+                    i = covariant_mutual_info_u1(state, n)
+                    assert abs(i - full_grid_mi(oracle)) <= 5e-11
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    @pytest.mark.parametrize("p1", [0.5, 0.3, 0.17, 0.83])
+    def test_binomial_entropy_extended_precision(self, p1, n):
+        state = u1_state([1 - p1, p1])
+        assert abs(u1_asymmetry(state, n) - binomial_entropy_mp(n, p1)) <= 5e-11
+
+    def test_binomial_entropy_at_the_cap(self):
+        n = DEFAULT_COEFF_CAP - 1
+        state = u1_state([0.7, 0.3])
+        assert abs(u1_asymmetry(state, n) - binomial_entropy_mp(n, 0.3)) <= 5e-11
+
+    @pytest.mark.parametrize("n", [1, 3, 100])
+    @pytest.mark.parametrize(
+        "probs",
+        [[1.0, 1e-40], [1e-40, 1.0], [0.5, 0.5, 1e-40], [1e-40, 0.5, 0.5]],
+    )
+    def test_nearly_pure_label(self, probs, n):
+        # A 1e-40 weight makes theta huge; undoing the tilt must not round
+        # log(1e-40) away and lift that label to the size of the others.
+        state = u1_state(probs)
+        oracle = conv_power_oracle(state.probs, n)
+        assert abs(u1_asymmetry(state, n) - shannon_entropy(oracle)) <= 5e-11
+        assert abs(covariant_mutual_info_u1(state, n) - full_grid_mi(oracle)) <= 5e-11
+
+
+class TestGappedSpectra:
+    """Labels a gapped state cannot reach come out exactly 0, not as FFT
+    noise that square-root amplitudes would amplify."""
+
+    @pytest.mark.parametrize("n", [8, 100, 1000])
+    @pytest.mark.parametrize(
+        "probs", [[0.5, 0.0, 0.5], [0.3, 0.0, 0.0, 0.7], [0.0, 0.0, 0.5, 0.5]]
+    )
+    def test_unreachable_labels_exactly_zero(self, probs, n):
+        state = u1_state(probs)
+        c = copy_distribution_u1(state, n).c
+        assert np.all(c[~reachable_labels(probs, n)] == 0.0)
+        oracle = conv_power_oracle(state.probs, n)
+        assert abs(covariant_mutual_info_u1(state, n) - full_grid_mi(oracle)) <= 5e-11
 
 
 class TestGaussianApproximation:
@@ -221,6 +339,17 @@ class TestCovariantMutualInfo:
         assert covariant_mutual_info_u1(qubit_half, 8, quad) == pytest.approx(
             covariant_mutual_info_u1(shifted, 8, quad), abs=1e-12
         )
+
+    def test_offset_density_is_full_grid(self):
+        # The mirrored half spectrum equals the complex FFT on every point.
+        state = u1_state([0.2, 0.5, 0.3])
+        phi, f = offset_density_grid(state, 9)
+        c = conv_power_oracle(state.probs, 9)
+        amp = np.zeros(f.size)
+        amp[: c.size] = np.sqrt(c)
+        assert f.size == phi.size == QuadratureSpec.for_length(c.size).grid_points
+        full = np.abs(np.fft.fft(amp)) ** 2 / (2 * math.pi)
+        assert np.max(np.abs(f - full)) <= 1e-14
 
     def test_offset_density_normalized(self, qubit_half):
         phi, f = offset_density_grid(qubit_half, 12)

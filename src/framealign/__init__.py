@@ -34,7 +34,6 @@ from .u1 import (
     QuadratureSpec,
     copy_distribution_u1,
     covariant_mutual_info_u1,
-    gaussian_copy_distribution,
     number_variance,
     regularized_asymmetry_u1,
     u1_asymmetry,

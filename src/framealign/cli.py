@@ -59,7 +59,6 @@ class RunConfig:
     trials: int | None = None
     outcomes: int | None = None
     max_iters: int | None = None
-    step: float | None = None
     out: str | None = None
     format: str = "json"
     workers: int = 1
@@ -387,13 +386,11 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
     cfg.restarts = args.restarts
     cfg.outcomes = args.outcomes
     cfg.max_iters = args.max_iters
-    cfg.step = args.step
     ens = povm.ensemble_states(state, n)
     opt_cfg = povm.OptimizerConfig(
         outcomes=args.outcomes,
         restarts=args.restarts,
         max_iters=args.max_iters,
-        step_size=args.step,
         seed=args.seed,
     )
     result = povm.optimize_povm(ens, opt_cfg)
@@ -516,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int, default=5)
     sub.add_argument("--outcomes", type=int, default=None)
     sub.add_argument("--max-iters", dest="max_iters", type=int, default=500)
-    sub.add_argument("--step", type=float, default=0.1)
     sub.set_defaults(func=_cmd_optimize)
 
     sub = subs.add_parser("sample")

@@ -53,14 +53,6 @@ class DeltaOutOfRange(FrameAlignError):
     pass
 
 
-class GappedSpectrum(FrameAlignError):
-    pass
-
-
-class ZeroVariance(FrameAlignError):
-    pass
-
-
 class ResourceLimit(FrameAlignError):
     pass
 

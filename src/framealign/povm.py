@@ -1,9 +1,10 @@
 """Finite-ensemble accessible-information machinery: the cyclic orbit
-ensemble, mutual information of arbitrary POVMs, and a projected-ascent
-maximizer used to cross-validate the Fourier-basis measurement."""
+ensemble, mutual information of arbitrary POVMs, and a maximizer over
+covariant POVMs with rank-one seeds, one length-M FFT per seed."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,12 @@ from .cyclic import copy_distribution_zm, offset_distribution
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
-# Gradient entries stay below ln(1e300) ~ 691 in size, so an ascent step up
-# to this keeps every update finite.
-MAX_STEP = 1e300
+# Seed ascent: L-BFGS memory, Armijo constant, the step below which the
+# backtracking gives up, and the size of restart 0's nudge off the Fourier seed.
+LBFGS_PAIRS = 8
+ARMIJO_C1 = 1e-4
+MIN_STEP = 2.0**-60
+FOURIER_NUDGE = 1e-3
 
 # Largest dense complex array the POVM layer builds (256 MiB); M = 256 fits.
 MAX_DENSE_ENTRIES = 1 << 24
@@ -88,17 +92,14 @@ class OptimizerConfig:
     outcomes: int | None = None
     restarts: int = 5
     max_iters: int = 500
-    step_size: float = 0.1
     tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise MalformedInput("restarts and max_iters must be positive")
-        if not all(math.isfinite(v) and v > 0 for v in (self.step_size, self.tol)):
-            raise MalformedInput("step_size and tol must be positive and finite")
-        if self.step_size > MAX_STEP:
-            raise MalformedInput(f"step_size must be at most {MAX_STEP}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise MalformedInput("tol must be positive and finite")
         if self.outcomes is not None and self.outcomes < 1:
             raise MalformedInput("outcomes must be positive")
 
@@ -145,22 +146,20 @@ def covariant_table(state: StandardState, n_copies: int) -> np.ndarray:
 
 
 def conditional_table(ens: EnsembleSpec, povm: PovmSpec) -> np.ndarray:
-    """p(y|x) = <psi_x| E_y |psi_x> as an (M, K) real matrix."""
+    """p(y|x) = max(Re <psi_x| E_y |psi_x>, 0) as an (M, K) real matrix,
+    from one stacked matmul."""
     if povm.dim != ens.M:
         raise DimensionMismatch(
             f"POVM acts on dimension {povm.dim}, ensemble lives in {ens.M}"
         )
-    return _cond(ens.states, povm.effects)
+    e_psi = povm.effects @ ens.states.T  # e_psi[y, :, x] = E_y psi_x
+    return np.maximum(np.einsum("xk,ykx->xy", ens.states.conj(), e_psi).real, 0.0)
 
 
-def _cond(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """p(y|x) = max(Re <psi_x| E_y |psi_x>, 0) from one stacked matmul."""
-    e_psi = effects @ states.T  # e_psi[y, :, x] = E_y psi_x
-    return np.maximum(np.einsum("xk,ykx->xy", states.conj(), e_psi).real, 0.0)
-
-
-def _mutual_info_bits(prior: np.ndarray, cond: np.ndarray) -> float:
-    joint = prior[:, None] * cond
+def mutual_info_of_povm(ens: EnsembleSpec, povm: PovmSpec) -> float:
+    """Mutual information (bits) between the hidden shift and the outcome."""
+    cond = conditional_table(ens, povm)
+    joint = np.asarray(ens.prior)[:, None] * cond
     py = joint.sum(axis=0)
     mask = joint > 0
     _, yi = np.nonzero(mask)
@@ -168,118 +167,109 @@ def _mutual_info_bits(prior: np.ndarray, cond: np.ndarray) -> float:
     return max(float(terms.sum()) / LN2, 0.0)
 
 
-def mutual_info_of_povm(ens: EnsembleSpec, povm: PovmSpec) -> float:
-    """Mutual information (bits) between the hidden shift and the outcome."""
-    cond = conditional_table(ens, povm)
-    return _mutual_info_bits(np.asarray(ens.prior), cond)
+def _seed_info(a: np.ndarray, amps: np.ndarray) -> tuple[float, np.ndarray]:
+    """I (bits) of the covariant POVM whose seeds are the rows of `a`, each
+    column scaled to norm 1/sqrt(M), and its ascent gradient in `a` under
+    the real inner product Re<u, v>."""
+    m = amps.size
+    norms = np.linalg.norm(a, axis=0)
+    u = a / norms
+    y = m * np.fft.ifft(u.conj() * (amps / math.sqrt(m)), axis=1)
+    q = y.real**2 + y.imag**2  # q[i, j] = p(g, i | g + j)
+    g = np.log(np.maximum(m * q / q.sum(axis=1, keepdims=True), 1e-300))
+    info = float(np.sum(q * g)) / LN2
+    grad = np.fft.fft(g * y, axis=1).conj() * amps / LN2  # dI/d conj(phi)
+    grad -= u * np.sum((u.conj() * grad).real, axis=0)
+    return info, grad * (2.0 / math.sqrt(m)) / norms
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _project_to_povm(effects: np.ndarray) -> np.ndarray:
-    """Clip each effect to the PSD cone, then restore completeness by the
-    symmetric sandwich E_y -> A^{-1/2} E_y A^{-1/2} with A = sum_y E_y."""
-    h = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
-    w, v = np.linalg.eigh(h)
-    w = np.maximum(w, 0.0)
-    clipped = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    total = clipped.sum(axis=0)
-    total = 0.5 * (total + total.conj().T)
-    w, v = np.linalg.eigh(total)
-    w = np.maximum(w, 1e-12)
-    inv_half = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    out = inv_half @ clipped @ inv_half
-    return 0.5 * (out + out.conj().transpose(0, 2, 1))
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.vdot(u, v).real)
 
 
 def _ascend(
-    ens: EnsembleSpec,
-    start: np.ndarray,
-    cfg: OptimizerConfig,
+    amps: np.ndarray, a: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, list[float], bool]:
-    prior = np.asarray(ens.prior)
-    effects = _project_to_povm(start.copy())
-    step = cfg.step_size
+    """L-BFGS ascent on the seeds with Armijo backtracking; converged when an
+    accepted step gains less than cfg.tol."""
+    info, grad = _seed_info(a, amps)
+    pairs: deque = deque(maxlen=LBFGS_PAIRS)
     trace: list[float] = []
-    best_eff = effects
-    best_mi = -1.0
-    prev_mi = None
-    still = 0
-    converged = False
     for _ in range(cfg.max_iters):
-        cond = _cond(ens.states, effects)
-        mi = _mutual_info_bits(prior, cond)
-        trace.append(mi)
-        if mi > best_mi:
-            best_mi = mi
-            best_eff = effects
-        if prev_mi is not None:
-            if mi < prev_mi:
-                step *= 0.5
-            if abs(mi - prev_mi) < cfg.tol:
-                still += 1
-                if still >= 10:
-                    converged = True
-                    break
-            else:
-                still = 0
-        prev_mi = mi
-        py = prior @ cond
-        log_ratio = np.log(np.maximum(cond, 1e-300) / np.maximum(py, 1e-300)[None, :])
-        w = prior[:, None] * log_ratio  # grad_y = sum_x w[x, y] psi_x psi_x^dagger
-        grad = (ens.states.T[None] * w.T[:, None, :]) @ ens.states.conj()
-        effects = _project_to_povm(effects + step * grad)
-    return best_eff, best_mi, trace, converged
+        d = grad.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * _dot(s, d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d /= rho * _dot(y, y)
+        else:
+            d *= np.linalg.norm(a) / max(np.linalg.norm(grad), 1e-300)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * _dot(y, d)) * s
+        slope = _dot(grad, d)
+        t = 1.0
+        while slope > 0 and t > MIN_STEP:
+            trial = a + t * d
+            new_info, new_grad = _seed_info(trial, amps)
+            if new_info >= info + ARMIJO_C1 * t * slope:
+                break
+            t *= 0.5
+        else:  # no ascent left at working precision
+            trace.append(info)
+            return a, info, trace, True
+        gain = new_info - info
+        s, y = trial - a, grad - new_grad
+        curvature = _dot(s, y)
+        if curvature > 0:
+            pairs.append((s, y, 1.0 / curvature))
+        a, info, grad = trial, new_info, new_grad
+        trace.append(info)
+        if gain < cfg.tol:
+            return a, info, trace, True
+    return a, info, trace, False
+
+
+def _expand_seeds(a: np.ndarray) -> np.ndarray:
+    """Dense effects E_{i*M + g} = U_g |phi_i><phi_i| U_g^dagger, with
+    U_g = diag(e^{2 pi i g k / M}) and phi the column-scaled seeds."""
+    s, m = a.shape
+    phi = a / (np.linalg.norm(a, axis=0) * math.sqrt(m))
+    k = np.arange(m)
+    vecs = (phi[:, None, :] * np.exp(2j * math.pi * np.outer(k, k) / m)).reshape(
+        s * m, m
+    )
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
 def optimize_povm(ens: EnsembleSpec, cfg: OptimizerConfig) -> OptimizeResult:
-    """Projected gradient ascent over POVMs, restarted; one restart always
-    begins at the Fourier-basis measurement so the result never falls below
-    it.  Deterministic given cfg.seed; non-convergence is flagged on the
-    result rather than raised."""
-    k = cfg.outcomes or ens.M
-    _check_dense(k * ens.M * ens.M, f"a {k}-outcome POVM on dimension {ens.M}")
-    cov = covariant_povm(ens.M).effects
-    best: OptimizeResult | None = None
+    """Maximize the information over covariant POVMs with rank-one seeds,
+    which contain an optimal measurement of the uniform orbit ensemble.
+    cfg.outcomes = s*M asks for s seeds (default one).  Restart 0 starts next
+    to the Fourier seed, the rest at random; deterministic given cfg.seed.
+    Non-convergence is flagged on the result rather than raised."""
+    m = ens.M
+    k = cfg.outcomes or m
+    _check_dense(k * m * m, f"a {k}-outcome POVM on dimension {m}")
+    if k % m:
+        raise MalformedInput(f"outcomes must be a multiple of M = {m}, got {k}")
+    amps = np.asarray(ens.amplitudes)
+    runs = []
     for r in range(cfg.restarts):
-        if r == 0:
-            start = _resize_outcomes(cov, k)
-        else:
-            rng = np.random.default_rng(cfg.seed + r)
-            u = _haar_unitary(rng, ens.M)
-            start = _resize_outcomes(u @ cov @ u.conj().T, k)
-        eff, mi, trace, converged = _ascend(ens, start, cfg)
-        if best is None or mi > best.mi_bits:
-            best = OptimizeResult(
-                povm=PovmSpec(eff),
-                mi_bits=mi,
-                trace=trace,
-                converged=converged,
-                restart_index=r,
-            )
-    assert best is not None
-    return best
-
-
-def _resize_outcomes(effects: np.ndarray, k: int) -> np.ndarray:
-    """Reshape an M-outcome POVM into a k-outcome starting point: split the
-    first effect evenly when k > M, merge consecutive groups when k < M."""
-    m = effects.shape[0]
-    if k == m:
-        return effects
-    if k > m:
-        extra = k - m
-        return np.concatenate(
-            [np.repeat(effects[:1] / (extra + 1), extra + 1, axis=0), effects[1:]]
-        )
-    bounds = np.linspace(0, m, k + 1).astype(int)
-    return np.stack(
-        [effects[lo:hi].sum(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        rng = np.random.default_rng(cfg.seed + r)
+        draw = rng.normal(size=(k // m, m)) + 1j * rng.normal(size=(k // m, m))
+        # The exact Fourier seed is a critical point (I is even under
+        # phi -> conj(phi)), so restart 0 starts a nudge away from it.
+        runs.append(_ascend(amps, 1.0 + FOURIER_NUDGE * draw if r == 0 else draw, cfg))
+    r = max(range(cfg.restarts), key=lambda i: runs[i][1])
+    a, mi, trace, converged = runs[r]
+    return OptimizeResult(
+        povm=PovmSpec(_expand_seeds(a)),
+        mi_bits=max(mi, 0.0),
+        trace=trace,
+        converged=converged,
+        restart_index=r,
     )
 
 

@@ -12,13 +12,11 @@ from scipy.special import xlogy
 from .core import (
     LN2,
     CopyDistribution,
-    GappedSpectrum,
     GridTooCoarse,
     GroupMismatch,
     MalformedInput,
     ResourceLimit,
     StandardState,
-    ZeroVariance,
     shannon_entropy,
 )
 
@@ -173,25 +171,6 @@ def copy_distribution_u1(state: StandardState, n_copies: int) -> CopyDistributio
     return CopyDistribution(state.group, n_copies, c)
 
 
-def gaussian_copy_distribution(state: StandardState, n_copies: int) -> CopyDistribution:
-    """Discretized-normal approximation to the N-copy number distribution.
-
-    Only valid for gapless spectra (every p_n > 0); refuses anything else
-    instead of silently extrapolating.
-    """
-    out_len = _coeff_count(state, n_copies)
-    if np.any(state.probs == 0):
-        raise GappedSpectrum("normal approximation needs p_n > 0 for every n")
-    var1 = number_variance(state)
-    if var1 == 0:
-        raise ZeroVariance("normal approximation needs positive number variance")
-    n = np.arange(out_len, dtype=float)
-    mean1 = math.fsum((np.arange(state.group.d) * state.probs).tolist())
-    g = np.exp(-((n - n_copies * mean1) ** 2) / (2.0 * n_copies * var1))
-    g /= math.fsum(g.tolist())
-    return CopyDistribution(state.group, n_copies, g)
-
-
 def u1_asymmetry(state: StandardState, n_copies: int) -> float:
     """Shannon entropy (bits) of the exact N-copy number distribution."""
     return shannon_entropy(copy_distribution_u1(state, n_copies).c)
@@ -224,7 +203,9 @@ def _offset_density(c: np.ndarray, quad: QuadratureSpec | None) -> np.ndarray:
         raise GridTooCoarse(
             f"grid of {quad.grid_points} points is below 8 x {c.size} coefficients"
         )
-    amp = np.fft.rfft(np.sqrt(c), quad.grid_points)
+    # f is invariant under a shift of labels; zero edges only add rounding.
+    nz = np.flatnonzero(c)
+    amp = np.fft.rfft(np.sqrt(c[nz[0] : nz[-1] + 1]), quad.grid_points)
     return (amp.real**2 + amp.imag**2) / (2.0 * math.pi)
 
 

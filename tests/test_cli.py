@@ -320,17 +320,6 @@ class TestInputRejection:
         assert rc == 2
         assert_one_json_error(capsys, "MalformedInput")
 
-    @pytest.mark.parametrize("step", ["nan", "inf"])
-    def test_non_finite_step_exits_2(self, capsys, step):
-        rc = main(
-            [
-                "optimize", "--group", "z3", "--probs", "0.5,0.3,0.2",
-                "--n", "1", "--step", step,
-            ]
-        )
-        assert rc == 2
-        assert_one_json_error(capsys, "MalformedInput")
-
     def test_workers_defaults_to_one(self, tmp_path):
         argv = ["search", "--group", "z4", "--trials", "300", "--seed", "2"]
         default = run_json(tmp_path, argv, name="default.json")
@@ -428,15 +417,15 @@ class TestInputRejection:
         assert main(argv + ["--seed", "-1"]) == 2
         assert_one_json_error(capsys, "UsageError")
 
-    def test_step_above_limit_exits_2(self, capsys):
-        argv = ["optimize", "--group", "z3", "--probs", "0.5,0.5,0", "--n", "1"]
-        assert main(argv + ["--step", "1e308"]) == 2
-        assert_one_json_error(capsys, "MalformedInput")
-
     def test_optimize_outcomes_over_budget_exits_3(self, capsys):
         argv = ["optimize", "--group", "z4", "--probs", ",".join(PSI), "--n", "1"]
         assert main(argv + ["--outcomes", str(1 << 21)]) == 3
         assert_one_json_error(capsys, "ResourceLimit")
+
+    def test_optimize_outcomes_not_a_multiple_of_m_exits_2(self, capsys):
+        argv = ["optimize", "--group", "z3", "--probs", "0.5,0.5,0", "--n", "1"]
+        assert main(argv + ["--outcomes", "4"]) == 2
+        assert_one_json_error(capsys, "MalformedInput")
 
 
 class TestJsonify:
@@ -479,7 +468,7 @@ FUZZ_FLAGS = {
     "rate": STATE_FLAGS + ("--grid", "--format"),
     "superadd": ("--seed", "--workers"),
     "search": ("--trials", "--seed", "--workers"),
-    "optimize": STATE_FLAGS + ("--restarts", "--outcomes", "--max-iters", "--step"),
+    "optimize": STATE_FLAGS + ("--restarts", "--outcomes", "--max-iters"),
     "sample": STATE_FLAGS + ("--format", "--shots"),
 }
 _file = st.sampled_from([*FUZZ_FILES, "missing"]).map(lambda k: f"@{k}")
@@ -500,7 +489,6 @@ FUZZ_VALUES = {
     "--restarts": st.integers(-1, 2),
     "--outcomes": st.integers(-1, 6),
     "--max-iters": st.integers(-1, 20),
-    "--step": st.sampled_from(["0.1", "2", "0", "-1", "nan", "1e308"]),
     "--shots": st.integers(-5, 2000),
     "--format": st.sampled_from(["json", "csv", "xml"]),
     "--workers": st.sampled_from([1, 2, 3, 0]),

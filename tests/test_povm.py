@@ -32,6 +32,22 @@ def zstate(probs):
     return validate_state(probs, GroupSpec.cyclic(len(probs)))
 
 
+def haar_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def normalized_povm(effects):
+    """Positive definite effects E_y made complete by the symmetric sandwich
+    A^{-1/2} E_y A^{-1/2}, A = sum_y E_y."""
+    w, v = np.linalg.eigh(effects.sum(axis=0))
+    inv_half = (v / np.sqrt(w)) @ v.conj().T
+    out = inv_half @ effects @ inv_half
+    return 0.5 * (out + out.conj().transpose(0, 2, 1))
+
+
 @pytest.fixture
 def z2_skew():
     return zstate([0.75, 0.25])
@@ -108,21 +124,6 @@ class TestPovmSpecValidation:
         back = povm_from_json(povm_to_json(povm))
         assert np.max(np.abs(back.effects - povm.effects)) <= 1e-15
 
-    def test_projection_repairs_arbitrary_updates(self):
-        # Every ascent iterate passes through this projection, so it must
-        # turn arbitrary Hermitian perturbations into valid measurements.
-        from framealign.povm import _project_to_povm
-
-        rng = np.random.default_rng(67)
-        for _ in range(20):
-            m = int(rng.integers(2, 5))
-            k = int(rng.integers(2, 6))
-            g = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
-            projected = _project_to_povm(g + g.conj().transpose(0, 2, 1))
-            assert np.max(np.abs(projected.sum(axis=0) - np.eye(m))) <= 1e-9
-            for eff in projected:
-                assert np.linalg.eigvalsh(eff).min() >= -1e-10
-
     def test_rejects_last_effect_non_psd(self):
         # The stacked eigenvalue check must see every effect, the last included.
         good = covariant_povm(3).effects
@@ -132,26 +133,6 @@ class TestPovmSpecValidation:
         assert np.linalg.eigvalsh(bad[:2]).min() >= -1e-12
         with pytest.raises(MalformedInput, match="positive semidefinite"):
             PovmSpec(bad)
-
-    def test_projection_matches_per_effect_loop(self):
-        from framealign.povm import _project_to_povm
-
-        def reference(effects):
-            clipped = np.empty_like(effects)
-            for y in range(effects.shape[0]):
-                h = 0.5 * (effects[y] + effects[y].conj().T)
-                w, v = np.linalg.eigh(h)
-                clipped[y] = (v * np.maximum(w, 0.0)) @ v.conj().T
-            total = clipped.sum(axis=0)
-            w, v = np.linalg.eigh(0.5 * (total + total.conj().T))
-            inv_half = (v * (1.0 / np.sqrt(np.maximum(w, 1e-12)))) @ v.conj().T
-            out = inv_half @ clipped @ inv_half
-            return 0.5 * (out + out.conj().transpose(0, 2, 1))
-
-        rng = np.random.default_rng(71)
-        for k, m in [(3, 3), (16, 16), (4, 2), (7, 5)]:
-            g = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
-            assert np.array_equal(_project_to_povm(g), reference(g))
 
 
 class TestDenseBudget:
@@ -176,13 +157,13 @@ class TestDenseBudget:
 
 class TestMutualInfoOfPovm:
     def test_table_matches_per_cell_oracle(self):
-        from framealign.povm import EnsembleSpec, _project_to_povm
+        from framealign.povm import EnsembleSpec
 
         rng = np.random.default_rng(73)
         for m, k in [(2, 3), (3, 5), (4, 2), (5, 9), (6, 4)]:
             g = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
             # g g^dagger is Hermitian and almost surely positive definite.
-            effects = _project_to_povm(g @ g.conj().transpose(0, 2, 1))
+            effects = normalized_povm(g @ g.conj().transpose(0, 2, 1))
             assert np.linalg.eigvalsh(effects).min() > 0
             povm = PovmSpec(effects)
             states = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
@@ -249,10 +230,8 @@ class TestMutualInfoOfPovm:
         # For a rank-one orthonormal POVM the quantum value is the classical
         # mutual information of the induced channel matrix.
         rng = np.random.default_rng(53)
-        from framealign.povm import _haar_unitary
-
         ens = ensemble_states(z4_psi, 2)
-        u = _haar_unitary(rng, 4)
+        u = haar_unitary(rng, 4)
         effects = np.einsum("ki,li->ikl", u, u.conj())
         povm = PovmSpec(effects)
         channel = np.abs(ens.states @ u) ** 2  # p(y|x), rows sum to 1
@@ -372,8 +351,50 @@ class TestOptimizePovm:
     def test_config_validation(self):
         with pytest.raises(MalformedInput):
             OptimizerConfig(restarts=0)
-        with pytest.raises(MalformedInput):
-            OptimizerConfig(step_size=-1.0)
+
+
+class TestSeedOptimizer:
+    """The covariant seed ascent against the dense POVM layer."""
+
+    @pytest.mark.parametrize("seeds", [1, 2])
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_expanded_seeds_match_dense_information(self, m, seeds):
+        rng = np.random.default_rng(10 * m + seeds)
+        ens = ensemble_states(zstate(rng.dirichlet(np.ones(m))), 2)
+        result = optimize_povm(
+            ens, OptimizerConfig(outcomes=seeds * m, restarts=2, seed=m)
+        )
+        assert result.converged
+        assert result.povm.n_outcomes == seeds * m
+        table = conditional_table(ens, result.povm)
+        assert mutual_info_of_counts(table / m) == pytest.approx(
+            result.mi_bits, abs=1e-12
+        )
+        assert mutual_info_of_povm(ens, result.povm) == pytest.approx(
+            result.mi_bits, abs=1e-12
+        )
+
+    def test_two_seeds_beat_one_on_the_pinned_instance(self):
+        state = zstate(TestKnownCounterexample.STATE)
+        result = optimize_povm(
+            ensemble_states(state, 1), OptimizerConfig(outcomes=6, seed=17)
+        )
+        h, _ = zm_asymmetry(state, 1)
+        assert 0.6532166 <= result.mi_bits <= h
+
+    def test_outcomes_must_be_a_multiple_of_m(self):
+        ens = ensemble_states(zstate([0.5, 0.3, 0.2]), 1)
+        with pytest.raises(MalformedInput, match="multiple"):
+            optimize_povm(ens, OptimizerConfig(outcomes=4))
+
+    @pytest.mark.parametrize("m, n", [(4, 1), (3, 2)])
+    def test_random_states_converge_at_or_above_fourier(self, m, n):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(40):
+            state = zstate(rng.dirichlet(np.ones(m)))
+            result = optimize_povm(ensemble_states(state, n), OptimizerConfig())
+            assert result.converged
+            assert result.mi_bits >= covariant_mutual_info_zm(state, n)[0] - 1e-9
 
 
 class TestKnownCounterexample:

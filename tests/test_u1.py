@@ -12,7 +12,6 @@ from framealign import (
     QuadratureSpec,
     copy_distribution_u1,
     covariant_mutual_info_u1,
-    gaussian_copy_distribution,
     number_variance,
     regularized_asymmetry_u1,
     u1_asymmetry,
@@ -20,12 +19,10 @@ from framealign import (
     validate_state,
 )
 from framealign.core import (
-    GappedSpectrum,
     GridTooCoarse,
     GroupMismatch,
     MalformedInput,
     ResourceLimit,
-    ZeroVariance,
     shannon_entropy,
 )
 from framealign.u1 import (
@@ -240,26 +237,6 @@ class TestGappedSpectra:
         assert abs(covariant_mutual_info_u1(state, n) - full_grid_mi(oracle)) <= 5e-11
 
 
-class TestGaussianApproximation:
-    def test_close_to_exact_at_n100(self, qubit_half):
-        exact = copy_distribution_u1(qubit_half, 100).c
-        approx = gaussian_copy_distribution(qubit_half, 100).c
-        assert np.max(np.abs(exact - approx)) <= 10 / 100
-
-    def test_mean_matches(self, qubit_half):
-        g = gaussian_copy_distribution(qubit_half, 100).c
-        mean = float(np.sum(np.arange(g.size) * g))
-        assert abs(mean - 50.0) <= 0.5
-
-    def test_gapped_spectrum_rejected(self):
-        with pytest.raises(GappedSpectrum):
-            gaussian_copy_distribution(u1_state([0.5, 0.0, 0.5]), 10)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ZeroVariance):
-            gaussian_copy_distribution(u1_state([1.0]), 10)
-
-
 class TestAsymmetry:
     def test_one_copy(self, qubit_half):
         assert u1_asymmetry(qubit_half, 1) == pytest.approx(1.0, abs=1e-14)
@@ -288,7 +265,10 @@ class TestAsymmetry:
 
 class TestCovariantMutualInfo:
     def test_invariant_state_carries_nothing(self):
-        assert covariant_mutual_info_u1(u1_state([1.0, 0.0]), 1) == 0.0
+        for probs, n in [([1, 0], 1), ([0, 1], 1), ([0, 0, 1], 5), ([0, 1, 0], 7)]:
+            state = u1_state(probs)
+            assert covariant_mutual_info_u1(state, n) == 0.0
+            assert u1_rate_series(state, [n])[0].mutual_info_bits == 0.0
 
     def test_analytic_one_copy(self, qubit_half):
         assert covariant_mutual_info_u1(qubit_half, 1) == pytest.approx(

@@ -300,6 +300,30 @@ def relative_entropy_diag(c, sigma) -> float:
     return -math.fsum((carr[mask] * np.log(sarr[mask])).tolist()) / LN2
 
 
+def fourier_offsets(x: np.ndarray, k: int) -> np.ndarray:
+    """q_j = |sum_m x_m e^{2 pi i m j/k}|^2 / k^2 for j = 1..k//2 (q_{k-j} = q_j),
+    from one real FFT of x zero-padded to length k.  With x = sqrt(k c) this is
+    the Z_k Fourier-basis offset distribution of c; a constant added to x moves
+    only j = 0, so x = sqrt(k c) - 1 keeps q accurate for nearly uniform c."""
+    w = np.fft.rfft(x, k)[1:]
+    return (w.real**2 + w.imag**2) / (k * k)
+
+
+def offset_entropy(x: np.ndarray, k: int) -> float:
+    """Entropy (bits) of the offset distribution q of :func:`fourier_offsets`
+    with q_0 = 1 - t, t the mass off j = 0; log2(k) minus it is the information.
+    [-(1-t) log1p(-t) - sum q log q] / ln2 keeps its relative precision when t
+    is tiny, and its terms are non-negative, so pairwise summation is accurate
+    to a few ulps."""
+    q = fourier_offsets(x, k)
+    # Offsets j < k/2 stand for j and k - j; offset k/2 is its own mirror.
+    pairs = (k - 1) // 2
+    t = 2.0 * np.sum(q[:pairs]) + np.sum(q[pairs:])
+    terms = -xlogy(q, q)
+    off = 2.0 * np.sum(terms[:pairs]) + np.sum(terms[pairs:])
+    return float(-(1.0 - t) * math.log1p(-t) + off) / LN2
+
+
 def dft_vector(p: np.ndarray) -> np.ndarray:
     """DFT with the e^{+2*pi*i*n*m / M} kernel: z_n = sum_m p_m exp(2*pi*i*n*m/M)."""
     return np.fft.ifft(np.asarray(p, dtype=float)) * len(p)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import (
     LN2,
@@ -29,6 +28,8 @@ from .core import (
     dft_profile,
     dft_vector,
     entropy_deficit,
+    fourier_offsets,
+    offset_entropy,
 )
 
 # Full-enumeration branch of the oracle; above this the (position, residue)
@@ -194,29 +195,26 @@ def _rate_of(r_max: float) -> float | _InfiniteRate:
     return -2.0 * math.log2(r_max)
 
 
+def _root_deviations(dev: DeviationVector) -> np.ndarray:
+    """sqrt(1+Delta) - 1 = sqrt(M c) - 1, accurate when the deviations are tiny."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = np.expm1(0.5 * np.log1p(dev.deltas))
+    shifted[dev.deltas == -1.0] = -1.0
+    return shifted
+
+
 def offset_distribution(dev: DeviationVector) -> np.ndarray:
     """Fourier-basis outcome distribution over the offset j = (x - y) mod M,
     q_j = |sum_k sqrt(c_k) e^{2 pi i k j / M}|^2 / M, so p(y|x) = q_{(x-y) mod M}.
 
-    For j != 0 the flat part of sqrt(c_k) cancels, so q_j is built from
-    sqrt(1+Delta)-1 terms and stays accurate when the deviations are tiny.
+    The offsets j != 0 come from :func:`core.fourier_offsets` of
+    sqrt(1+Delta)-1, mirrored as q_{M-j} = q_j, and q_0 = 1 - sum of the rest.
     """
     m = dev.M
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shifted = np.expm1(0.5 * np.log1p(dev.deltas))
-    shifted[dev.deltas == -1.0] = -1.0
-    w = dft_vector(shifted)
-    w[0] += m  # the flat part survives at j = 0 only
-    return np.abs(w) ** 2 / (m * m)
-
-
-def _mi_deficit(dev: DeviationVector) -> float:
-    """log2(M) minus the covariant mutual information, from the deviations."""
-    q_off = offset_distribution(dev)[1:]
-    t = math.fsum(q_off.tolist())
-    diag = -(1.0 - t) * math.log1p(-t)
-    off = -math.fsum(xlogy(q_off, q_off).tolist())
-    return (diag + off) / LN2
+    half = fourier_offsets(_root_deviations(dev), m)
+    q = np.concatenate(([0.0], half, half[: (m - 1) // 2][::-1]))
+    q[0] = 1.0 - np.sum(q)
+    return q
 
 
 def _zm_point(
@@ -242,7 +240,9 @@ def _zm_point(
         lin_m = -(2.0 * n_copies * log2r + math.log2(inner)) / n_copies
     else:
         _, dev = copy_distribution_zm(state, n_copies)
-        a_def, m_def = entropy_deficit(dev), _mi_deficit(dev)
+        # The information deficit log2(M) - I is the offset entropy.
+        a_def = entropy_deficit(dev)
+        m_def = offset_entropy(_root_deviations(dev), dev.M)
         lin_a = -math.log2(a_def) / n_copies if a_def > 0 else math.inf
         lin_m = -math.log2(m_def) / n_copies if m_def > 0 else math.inf
     return ZmRatePoint(

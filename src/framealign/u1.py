@@ -7,16 +7,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import (
-    LN2,
     CopyDistribution,
     GridTooCoarse,
     GroupMismatch,
     MalformedInput,
     ResourceLimit,
     StandardState,
+    offset_entropy,
     shannon_entropy,
 )
 
@@ -176,47 +175,24 @@ def u1_asymmetry(state: StandardState, n_copies: int) -> float:
     return shannon_entropy(copy_distribution_u1(state, n_copies).c)
 
 
-def offset_density_grid(
-    state: StandardState,
-    n_copies: int,
-    quad: QuadratureSpec | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid phi_j and density f(phi_j) of the estimate-minus-true phase offset.
-
-    f(phi) = |sum_m sqrt(c_m) e^{i m phi}|^2 / (2*pi) for the covariant
-    phase measurement; it integrates to 1 exactly under the periodic
-    trapezoid rule whenever the grid resolves the coefficients.  The
-    amplitudes are real, so f(-phi) = f(phi): the half grid j <= K/2 comes
-    from one real FFT and is mirrored onto the other half.
-    """
-    half = _offset_density(copy_distribution_u1(state, n_copies).c, quad)
-    k = 2 * (half.size - 1)
-    phi = np.arange(k) * (2.0 * math.pi / k)
-    return phi, np.concatenate((half, half[-2:0:-1]))
-
-
-def _offset_density(c: np.ndarray, quad: QuadratureSpec | None) -> np.ndarray:
-    """f(phi_j) on the half grid j = 0..K/2 of the quadrature grid."""
+def _covariant_info(c: np.ndarray, quad: QuadratureSpec | None) -> float:
+    """Covariant information (bits) of the copy distribution c by the periodic
+    trapezoid rule on K points, which is exactly the Z_K Fourier-basis
+    information of c padded with zeros: log2(K) - H(q)."""
     if quad is None:
         quad = QuadratureSpec.for_length(c.size)
     if quad.grid_points < 8 * c.size:
         raise GridTooCoarse(
             f"grid of {quad.grid_points} points is below 8 x {c.size} coefficients"
         )
-    # f is invariant under a shift of labels; zero edges only add rounding.
+    # q is invariant under a shift of labels; zero edges only add rounding,
+    # and one label left carries no information.
     nz = np.flatnonzero(c)
-    amp = np.fft.rfft(np.sqrt(c[nz[0] : nz[-1] + 1]), quad.grid_points)
-    return (amp.real**2 + amp.imag**2) / (2.0 * math.pi)
-
-
-def _mutual_info_of_density(half: np.ndarray) -> float:
-    """Periodic-trapezoid quadrature of f log2(2*pi*f), in bits, from the
-    half grid j = 0..K/2 of a symmetric f: interior points count twice."""
-    g = 2.0 * math.pi * half
-    terms = xlogy(g, g)
-    terms[1:-1] *= 2.0
-    val = math.fsum(terms.tolist()) / (2 * (g.size - 1) * LN2)
-    return max(val, 0.0)
+    if nz[0] == nz[-1]:
+        return 0.0
+    k = quad.grid_points
+    info = math.log2(k) - offset_entropy(np.sqrt(k * c[nz[0] : nz[-1] + 1]), k)
+    return max(info, 0.0)
 
 
 def covariant_mutual_info_u1(
@@ -226,8 +202,7 @@ def covariant_mutual_info_u1(
 ) -> float:
     """Mutual information (bits) between the hidden phase and the covariant
     phase estimate, by periodic-trapezoid quadrature of f log2(2*pi*f)."""
-    _, density = offset_density_grid(state, n_copies, quad)
-    return _mutual_info_of_density(density[: density.size // 2 + 1])
+    return _covariant_info(copy_distribution_u1(state, n_copies).c, quad)
 
 
 def regularized_asymmetry_u1(state: StandardState) -> float:
@@ -249,7 +224,7 @@ def _rate_point(
     # One copy distribution feeds both the entropy and the quadrature.
     c = copy_distribution_u1(state, n_copies).c
     h = shannon_entropy(c)
-    i = _mutual_info_of_density(_offset_density(c, quad))
+    i = _covariant_info(c, quad)
     return U1RatePoint(
         n_copies=n_copies,
         asymmetry_bits=h,

@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from framealign import (
     DeviationVector,
     GroupSpec,
+    QuadratureSpec,
+    copy_distribution_u1,
+    covariant_mutual_info_u1,
+    covariant_povm,
     dft_profile,
+    ensemble_states,
     entropy_deficit,
+    mutual_info_of_povm,
     relative_entropy_diag,
     shannon_entropy,
     state_from_json,
@@ -24,9 +30,12 @@ from framealign.core import (
     SumOutOfTolerance,
     SupportMismatch,
     WrongLength,
+    fourier_offsets,
     load_state,
+    offset_entropy,
     save_state,
 )
+from framealign.cyclic import offset_distribution
 
 from conftest import prob_vectors, random_simplex
 
@@ -131,6 +140,40 @@ class TestEntropyDeficit:
             dev = DeviationVector(4, 4.0 * p - 1.0)
             direct = 2.0 - shannon_entropy(p)
             assert entropy_deficit(dev) == pytest.approx(direct, abs=5e-15, rel=1e-12)
+
+
+class TestOffsetEntropy:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 16, 17])
+    def test_matches_full_complex_fft(self, k):
+        # The half spectrum, mirrored, equals the complex FFT on every offset.
+        rng = np.random.default_rng(k)
+        for length in (1, (k + 1) // 2, k):
+            c = np.zeros(k)
+            c[:length] = random_simplex(rng, length)
+            q = np.abs(np.fft.fft(np.sqrt(c))) ** 2 / k
+            x = np.sqrt(k * c)
+            assert np.max(np.abs(fourier_offsets(x, k) - q[1 : k // 2 + 1])) <= 1e-15
+            dev = DeviationVector(k, k * c - 1.0)
+            assert np.max(np.abs(offset_distribution(dev) - q)) <= 1e-15
+            for shifted in (x, x - 1.0):
+                assert offset_entropy(shifted, k) == pytest.approx(
+                    shannon_entropy(q), abs=1e-13
+                )
+
+    @pytest.mark.parametrize("k", [32, 64, 128])
+    def test_u1_quadrature_is_zk_fourier_information(self, k):
+        # The U(1) trapezoid rule on k points is the Z_k Fourier-basis
+        # information of the copy distribution padded with zeros.
+        rng = np.random.default_rng(k)
+        for d in (2, 3):
+            state = validate_state(random_simplex(rng, d), GroupSpec.u1(d))
+            n = (k // 8 - 1) // (d - 1)
+            c = np.zeros(k)
+            c[: n * (d - 1) + 1] = copy_distribution_u1(state, n).c
+            padded = validate_state(c, GroupSpec.cyclic(k))
+            want = mutual_info_of_povm(ensemble_states(padded, 1), covariant_povm(k))
+            got = covariant_mutual_info_u1(state, n, QuadratureSpec(k))
+            assert got == pytest.approx(want, abs=1e-13)
 
 
 class TestRelativeEntropyDiag:

@@ -1,0 +1,49 @@
+"""Smoke tests for the example scripts: they run on the public API, exit 0
+and print what their docstrings promise."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+def test_rate_convergence():
+    out = run_script("rate_convergence.py", "--max-exp", "3")
+    blocks = out.split("# ")[1:]
+    assert [b.splitlines()[0] for b in blocks] == [
+        "balanced qubit, phase pipeline",
+        "Z4 state, cyclic pipeline",
+    ]
+    for block in blocks:
+        header, *rows = block.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4", "8"]
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == len(header.split(","))
+            assert all(float(f) >= 0 for f in fields)
+
+
+def test_superadditivity_demo():
+    out = run_script("superadditivity_demo.py", "--trials", "200")
+    # log2(18): the documented Z4 pair's gap.
+    assert "additivity gap    = 4.169925 bits/copy" in out
+    assert "random search over Z4 (200 trials, seed 1)" in out
+    assert out.rstrip().splitlines()[-1].startswith("  gap    = ")

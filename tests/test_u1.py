@@ -29,7 +29,6 @@ from framealign.u1 import (
     DEFAULT_COEFF_CAP,
     MAX_GRID_POINTS,
     distribution_variance,
-    offset_density_grid,
 )
 
 from conftest import random_simplex
@@ -270,6 +269,13 @@ class TestCovariantMutualInfo:
             assert covariant_mutual_info_u1(state, n) == 0.0
             assert u1_rate_series(state, [n])[0].mutual_info_bits == 0.0
 
+    @pytest.mark.parametrize("log2_grid", range(7, 17))
+    def test_invariant_state_carries_nothing_on_every_grid(self, log2_grid):
+        # log2 K - H(uniform q) rounds to a few ulps above 0 on some grids.
+        quad = QuadratureSpec(1 << log2_grid)
+        for probs, n in [([1.0], 3), ([0, 1], 3), ([0, 0, 1], 5)]:
+            assert covariant_mutual_info_u1(u1_state(probs), n, quad) == 0.0
+
     def test_analytic_one_copy(self, qubit_half):
         assert covariant_mutual_info_u1(qubit_half, 1) == pytest.approx(
             MI_QUBIT_N1, abs=1e-9
@@ -319,24 +325,6 @@ class TestCovariantMutualInfo:
         assert covariant_mutual_info_u1(qubit_half, 8, quad) == pytest.approx(
             covariant_mutual_info_u1(shifted, 8, quad), abs=1e-12
         )
-
-    def test_offset_density_is_full_grid(self):
-        # The mirrored half spectrum equals the complex FFT on every point.
-        state = u1_state([0.2, 0.5, 0.3])
-        phi, f = offset_density_grid(state, 9)
-        c = conv_power_oracle(state.probs, 9)
-        amp = np.zeros(f.size)
-        amp[: c.size] = np.sqrt(c)
-        assert f.size == phi.size == QuadratureSpec.for_length(c.size).grid_points
-        full = np.abs(np.fft.fft(amp)) ** 2 / (2 * math.pi)
-        assert np.max(np.abs(f - full)) <= 1e-14
-
-    def test_offset_density_normalized(self, qubit_half):
-        phi, f = offset_density_grid(qubit_half, 12)
-        assert np.all(f >= 0)
-        integral = math.fsum(f.tolist()) * (2 * math.pi / f.size)
-        assert integral == pytest.approx(1.0, abs=1e-8)
-        assert phi[0] == 0.0 and phi[-1] < 2 * math.pi
 
 
 class TestRegularizedAsymmetry:

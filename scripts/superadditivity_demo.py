@@ -16,6 +16,7 @@ from framealign import (
     tensor_compose,
     validate_state,
 )
+from framealign.cyclic import SEARCH_MAX_M
 
 PSI = [13 / 64, 18 / 64, 19 / 64, 14 / 64]
 PHI = [7 / 20, 3 / 20, 6 / 20, 4 / 20]
@@ -27,6 +28,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--order", type=int, default=4, help="cyclic group order")
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if not 2 <= args.order <= SEARCH_MAX_M:
+        parser.error(f"--order must be between 2 and {SEARCH_MAX_M}")
 
     group = GroupSpec.cyclic(4)
     psi = validate_state(PSI, group)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from framealign import GroupSpec, cli, sampling, save_state, validate_state
+from framealign import GroupSpec, cli, cyclic, sampling, save_state, validate_state
 from framealign.cli import main
 from framealign.povm import povm_from_json
 
@@ -384,6 +384,15 @@ class TestInputRejection:
         assert main(["sample", "--group", "z2049", "--probs", probs, "--n", "1"]) == 3
         assert_one_json_error(capsys, "ResourceLimit")
 
+    def test_search_order_above_limit_exits_3(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("workspace built above the search limit")
+
+        monkeypatch.setattr(cyclic, "_SearchWorkspace", unreachable)
+        group = f"z{cyclic.SEARCH_MAX_M + 1}"
+        assert main(["search", "--group", group, "--trials", "1"]) == 3
+        assert_one_json_error(capsys, "ResourceLimit")
+
     def test_sample_z1024_runs(self, tmp_path):
         probs = ",".join(["1/512", "0"] * 512)
         argv = ["sample", "--group", "z1024", "--probs", probs, "--n", "2"]
@@ -509,7 +518,10 @@ VALID_INPUTS = {
     "superadd": st.sampled_from(
         [["--a", "@z4", "--b", "@z4"], ["--a", "@z3", "--b", "@z3"]]
     ),
-    "search": st.sampled_from([["--group", "z3"], ["--group", "z4"]]),
+    # z64 and z65 straddle the search's DFT-matrix / rfft switch.
+    "search": st.sampled_from(
+        [["--group", g] for g in ("z3", "z4", "z64", "z65")]
+    ),
 }
 
 

@@ -389,13 +389,38 @@ class TestSearch:
             search_superadditive(1, 10, seed=0)
         with pytest.raises(MalformedInput):
             search_superadditive(4, 0, seed=0)
+        with pytest.raises(ResourceLimit):
+            search_superadditive(cyclic.SEARCH_MAX_M + 1, 1, seed=0)
+
+
+def _oracle_block(m, n_trials, seed, block):
+    """The search block as a fresh-array FFT kernel: two (M, n) draws,
+    rfft along axis 0, squared moduli from the real and imaginary parts."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+    draws = [rng.standard_exponential((m, n_trials)) for _ in range(2)]
+    sa, sb = (np.fft.rfft(p, axis=0)[1 : m // 2 + 1] for p in draws)
+    gaps = cyclic._gap_bits(sa.real**2 + sa.imag**2, sb.real**2 + sb.imag**2)
+    best = gaps.max()
+    tied = np.flatnonzero(gaps == best)
+    pa, pb = (p[:, tied] / p[:, tied].sum(axis=0) for p in draws)
+    first = np.lexsort(np.vstack([pa, pb])[::-1])[0]
+    return float(best), pa[:, first].copy(), pb[:, first].copy()
+
+
+def _oracle_blocks(m, trials, seed):
+    per_block = max(1, cyclic.SEARCH_BLOCK_CELLS // m)
+    return [
+        _oracle_block(m, min(per_block, trials - start), seed, index)
+        for index, start in enumerate(range(0, trials, per_block))
+    ]
 
 
 def _fake_block(calls):
     """Stand-in for cyclic._search_block that records its sizes and
     allocates nothing beyond a uniform witness."""
 
-    def block(m, n_trials, seed, index):
+    def block(work, seed, index):
+        _, m, n_trials = work.draws.shape
         calls.append((index, n_trials))
         uniform = np.full(m, 1.0 / m)
         return 0.0, uniform, uniform
@@ -488,10 +513,40 @@ class TestBlockedSearch:
     @pytest.mark.parametrize("m", [3, 4])
     def test_witness_owns_its_data(self, m):
         # A view would keep the whole block's draws alive.
-        _, a, b = cyclic._search_block(m, 500, 0, 0)
+        _, a, b = cyclic._search_block(cyclic._SearchWorkspace(m, 500), 0, 0)
         assert a.base is None and b.base is None
         result = search_superadditive(m, 500, seed=0)
         assert result.a.probs.base is None and result.b.probs.base is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 31, 64, 65, 128])
+    def test_workspace_kernel_matches_the_fft_oracle(self, monkeypatch, m):
+        # Two full blocks and a partial one, run on two threads.
+        monkeypatch.setattr(cyclic.os, "cpu_count", lambda: 2)
+        per_block = cyclic.SEARCH_BLOCK_CELLS // m
+        trials, seed = 2 * per_block + 7, m
+        gap, a, b = min(_oracle_blocks(m, trials, seed), key=cyclic._witness_key)
+        result = search_superadditive(m, trials, seed=seed, workers=2)
+        assert np.array_equal(result.a.probs, a)
+        assert np.array_equal(result.b.probs, b)
+        if m <= 3 or m > cyclic.SEARCH_DFT_MATRIX_MAX_M:
+            assert result.gap_bits == gap
+        else:
+            assert result.gap_bits == pytest.approx(gap, rel=1e-13)
+
+    def test_witness_survives_later_blocks(self, monkeypatch):
+        # Block 0 wins, and blocks 1 and 2 then overwrite the one workspace.
+        monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", 16)
+        m, trials = 4, 12
+
+        def block_0_wins(seed):
+            gaps = [gap for gap, _, _ in _oracle_blocks(m, trials, seed)]
+            return gaps[0] > max(gaps[1:])
+
+        seed = next(s for s in range(100) if block_0_wins(s))
+        _, a, b = _oracle_blocks(m, trials, seed)[0]
+        result = search_superadditive(m, trials, seed=seed)
+        assert np.array_equal(result.a.probs, a)
+        assert np.array_equal(result.b.probs, b)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_small_orders_exactly_zero_across_blocks(self, monkeypatch, m):
@@ -506,7 +561,7 @@ class TestBlockedSearch:
             3: ([0.7, 0.1, 0.1, 0.1], [0.25] * 4),
         }
 
-        def block(m, n_trials, seed, index):
+        def block(work, seed, index):
             a, b = witnesses[index]
             return (2.5 if index < 3 else 1.0), np.array(a), np.array(b)
 

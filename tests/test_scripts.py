@@ -1,14 +1,17 @@
 """Smoke tests for the example scripts: they run on the public API, exit 0
-and print what their docstrings promise."""
+and print what their docstrings promise, and out-of-range arguments exit 2
+with a usage error."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -20,9 +23,11 @@ def run_script(name, *args):
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    if returncode == 0:
+        assert proc.stderr == ""
+        return proc.stdout
+    return proc.stderr
 
 
 def test_rate_convergence():
@@ -47,3 +52,18 @@ def test_superadditivity_demo():
     assert "additivity gap    = 4.169925 bits/copy" in out
     assert "random search over Z4 (200 trials, seed 1)" in out
     assert out.rstrip().splitlines()[-1].startswith("  gap    = ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--order", "1"),
+        ("--order", str(2**20 + 1)),
+        ("--trials", "0"),
+        ("--seed", "-1"),
+    ],
+)
+def test_superadditivity_demo_rejects_bad_arguments(args):
+    err = run_script("superadditivity_demo.py", *args, returncode=2)
+    assert f"error: {args[0]} must be" in err
+    assert "Traceback" not in err

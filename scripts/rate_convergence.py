@@ -11,6 +11,10 @@ from framealign import GroupSpec, u1_rate_series, validate_state, zm_rate_series
 
 PSI = [13 / 64, 18 / 64, 19 / 64, 14 / 64]
 
+# 2**19 qubit copies carry 2**19 + 1 labels, within the U(1) pipeline's
+# 2**20-coefficient cap (framealign.u1.DEFAULT_COEFF_CAP).
+MAX_EXP = 19
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -18,6 +22,8 @@ def main() -> None:
                         help="largest N is 2**max_exp")
     parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()
+    if not 1 <= args.max_exp <= MAX_EXP:
+        parser.error(f"--max-exp must be between 1 and {MAX_EXP}")
     n_list = [2**k for k in range(1, args.max_exp + 1)]
 
     out = args.out

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .core import (
     GroupSpec,
     MalformedInput,
     ResourceLimit,
+    SpectralProfile,
     StandardState,
     dft_profile,
     load_state,
@@ -106,8 +109,8 @@ def _resolve_state(args, cfg: RunConfig) -> StandardState:
         normalized = [f / total for f in fracs]
         group = _parse_group(args.group, len(normalized))
         state = validate_state([float(f) for f in normalized], group)
-    cfg.group = state_to_json(state)["group"]
-    cfg.probs = [float(x) for x in state.probs]
+    as_json = state_to_json(state)
+    cfg.group, cfg.probs = as_json["group"], as_json["probs"]
     return state
 
 
@@ -153,12 +156,53 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         if value.dtype.kind in "biu":  # no inf or NaN to rewrite
             return value.tolist()
-        return [_jsonify(v) for v in value.tolist()]
+        return _jsonify(value.tolist())
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        # A float sum is finite only when every term is: nothing to rewrite.
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+            return list(value)
         return [_jsonify(v) for v in value]
     return value
+
+
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_text(value: Any, pad: str = "") -> str:
+    """Exactly json.dumps(value, indent=2, sort_keys=True), nested at `pad`.
+
+    `indent` makes json use its pure-Python encoder, which dominates large
+    outputs; here a list whose items share one leaf type is a single join.
+    What the fast paths leave out (non-finite floats, non-string keys, empty
+    containers, other types) is written by json.dumps and re-indented: JSON
+    text has no raw newline inside a string.
+    """
+    kind = type(value)
+    inner = pad + "  "
+    if kind is list and value:
+        kinds = set(map(type, value))
+        leaf = _JSON_LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, value) if leaf else (_json_text(v, inner) for v in value)
+        text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if leaf is not float.__repr__ or "n" not in text:  # as in "inf", "nan"
+            return text
+    elif kind is dict and value and all(type(k) is str for k in value):
+        items = (
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    elif kind in _JSON_LEAVES and (kind is not float or math.isfinite(value)):
+        return _JSON_LEAVES[kind](value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def _check_out(out: str | None) -> None:
@@ -178,10 +222,8 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, cfg: RunConfig) -> None:
-    obj = dict(obj)
-    obj["config"] = _jsonify(dataclasses.asdict(cfg))
-    payload = json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
-    _emit(payload, cfg.out)
+    config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    _emit(_json_text(_jsonify({**obj, "config": config})) + "\n", cfg.out)
 
 
 def _csv_cell(value) -> str:
@@ -215,10 +257,13 @@ def _sweep_csv(rows: list[dict]) -> str:
 
 
 def _series_rows(
-    state: StandardState, n_list: list[int], grid: int | None
+    state: StandardState,
+    n_list: list[int],
+    grid: int | None,
+    profile: SpectralProfile | None = None,
 ) -> list[dict]:
     if state.group.is_cyclic:
-        points = cyclic.zm_rate_series(state, n_list)
+        points = cyclic.zm_rate_series(state, n_list, profile)
         return [
             {
                 "n": p.n_copies,
@@ -305,11 +350,11 @@ def _cmd_rate(args, cfg: RunConfig) -> int:
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
     cfg.grid = _grid_for(state, args)
-    rows = _series_rows(state, n_list, cfg.grid)
+    profile = dft_profile(state) if state.group.is_cyclic else None
+    rows = _series_rows(state, n_list, cfg.grid, profile)
     # Every row carries the limiting rate as its target.
     summary: dict = {"rate_bits": rows[0]["target"]}
-    if state.group.is_cyclic:
-        profile = dft_profile(state)
+    if profile is not None:
         summary["r_max"] = profile.r_max
         summary["maximizer_set"] = list(profile.S)
         summary["degeneracy_weight"] = profile.D
@@ -480,32 +525,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("asymmetry")
     _add_state_args(sub)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_asymmetry)
 
     sub = subs.add_parser("mi")
     _add_state_args(sub)
     _add_common(sub)
     sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
-    sub.set_defaults(func=_cmd_mi)
 
     sub = subs.add_parser("rate")
     _add_state_args(sub)
     _add_common(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
-    sub.set_defaults(func=_cmd_rate)
 
     sub = subs.add_parser("superadd")
     sub.add_argument("--a", required=True, help="state file for the first factor")
     sub.add_argument("--b", required=True, help="state file for the second factor")
     _add_common(sub)
-    sub.set_defaults(func=_cmd_superadd)
 
     sub = subs.add_parser("search")
     sub.add_argument("--group", help="zM group to search")
     sub.add_argument("--trials", type=int, default=1000)
     _add_common(sub)
-    sub.set_defaults(func=_cmd_search)
 
     sub = subs.add_parser("optimize")
     _add_state_args(sub)
@@ -513,22 +553,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int, default=5)
     sub.add_argument("--outcomes", type=int, default=None)
     sub.add_argument("--max-iters", dest="max_iters", type=int, default=500)
-    sub.set_defaults(func=_cmd_optimize)
 
     sub = subs.add_parser("sample")
     _add_state_args(sub)
     _add_common(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--shots", type=int, default=10000)
-    sub.set_defaults(func=_cmd_sample)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs more than a small command."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig(
@@ -540,7 +583,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         _check_out(args.out)
-        return args.func(args, cfg)
+        # Looked up per call: the parser outlives a handler replaced later.
+        return globals()[f"_cmd_{args.subcommand}"](args, cfg)
     except MemoryError as exc:  # numpy raises a private subclass: one stable name
         _report("MemoryError", str(exc))
         return EXIT_RESOURCE

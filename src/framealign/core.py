@@ -346,7 +346,7 @@ def dft_profile(state: StandardState) -> SpectralProfile:
         weight = 0.0
     else:
         cut = r_max * (1.0 - S_TIE_REL)
-        maximizers = tuple(int(n) for n in range(1, M) if r[n] >= cut)
+        maximizers = tuple((np.flatnonzero(r[1:] >= cut) + 1).tolist())
         weight = sum(M - s for s in maximizers) / M
     z.setflags(write=False)
     r.setflags(write=False)
@@ -361,7 +361,7 @@ def state_to_json(state: StandardState) -> dict:
         group: dict = {"kind": "cyclic", "M": state.group.M}
     else:
         group = {"kind": "u1", "d": state.group.d}
-    return {"group": group, "probs": [float(x) for x in state.probs]}
+    return {"group": group, "probs": state.probs.tolist()}
 
 
 def state_from_json(obj) -> StandardState:

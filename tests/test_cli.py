@@ -447,6 +447,62 @@ class TestJsonify:
             cli._jsonify(np.array([np.nan]))
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = (st.none(), st.booleans(), st.integers(), _FINITE, st.text())
+# Lists of one leaf type take the writer's single-join path, mixed lists and
+# containers the per-item path; st.text() draws non-ASCII characters.
+_JSON_VALUES = st.recursive(
+    st.one_of(*_LEAVES),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        *(st.lists(leaf, max_size=6) for leaf in _LEAVES),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [1.5, math.inf],
+            [-math.inf, math.nan],
+            {"a": math.inf, "b": [math.nan]},
+            {1: "one", 2: [2.0]},
+            [(1, 2), {}, [], "\u00e9\n"],
+            {"x": [1, True, None, 1.0]},
+        ],
+    )
+    def test_non_finite_floats_and_other_keys(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_every_json_subcommand(self, tmp_path, z4_psi, z4_phi):
+        save_state(z4_psi, tmp_path / "a.json")
+        save_state(z4_phi, tmp_path / "b.json")
+        state = ["--group", "z4", "--probs", ",".join(PSI)]
+        commands = [
+            ["asymmetry", *state, "--n-list", "2,4"],
+            ["mi", "--group", "u1", "--probs", "0.2,0.5,0.3", "--n", "3"],
+            ["rate", *state, "--n-list", "8,100000"],
+            ["rate", "--group", "z4", "--probs", "0.25,0.25,0.25,0.25", "--n", "2"],
+            ["superadd", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json")],
+            ["search", "--group", "z5", "--trials", "50"],
+            ["optimize", *state, "--n", "1", "--restarts", "1"],
+            ["sample", *state, "--n", "2", "--shots", "100"],
+        ]
+        for argv in commands:
+            out = tmp_path / "out.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            text = out.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestStateFileInput:
     def test_state_flag(self, tmp_path, z4_psi):
         path = tmp_path / "psi.json"

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framealign import (
     DeviationVector,
@@ -24,6 +25,7 @@ from framealign import (
     validate_state,
 )
 from framealign.core import (
+    S_TIE_REL,
     DeltaOutOfRange,
     MalformedInput,
     NegativeProbability,
@@ -256,6 +258,28 @@ class TestDftProfile:
         assert np.max(
             np.abs(dft_profile(state).r - dft_profile(shifted).r)
         ) <= 1e-13
+
+
+    @settings(max_examples=200)
+    @given(
+        prob_vectors(min_len=2, max_len=12),
+        st.sampled_from(["raw", "symmetric", "periodic", "uniform"]),
+    )
+    def test_maximizer_set_matches_the_loop(self, p, shape):
+        # Real inputs tie every n with M - n; symmetric ones have real
+        # transforms; a period M/2 zeroes every odd index.
+        m = len(p)
+        if shape == "symmetric":
+            p = p + np.roll(p[::-1], 1)  # p_k + p_{-k}
+        elif shape == "periodic" and m % 2 == 0:
+            p = np.tile(p[: m // 2] + p[m // 2 :], 2)
+        elif shape == "uniform":
+            p = np.ones(m)
+        prof = dft_profile(validate_state(p / p.sum(), GroupSpec.cyclic(m)))
+        cut = prof.r_max * (1.0 - S_TIE_REL)
+        loop = tuple(n for n in range(1, m) if prof.r_max > 0 and prof.r[n] >= cut)
+        assert prof.S == loop
+        assert all(type(n) is int for n in prof.S)
 
 
 class TestStateFiles:

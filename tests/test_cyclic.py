@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from framealign import (
     GroupSpec,
@@ -12,6 +13,7 @@ from framealign import (
     copy_distribution_zm,
     covariant_mutual_info_zm,
     dft_profile,
+    entropy_deficit,
     multinomial_oracle_zm,
     search_superadditive,
     superadditivity_gap,
@@ -25,6 +27,7 @@ from framealign.core import (
     GroupMismatch,
     MalformedInput,
     ResourceLimit,
+    offset_entropy,
 )
 from framealign import cyclic
 from framealign.cyclic import EXTRAPOLATION_LOG2, _oracle_dp, _oracle_enumerate
@@ -415,6 +418,13 @@ def _oracle_blocks(m, trials, seed):
     ]
 
 
+def _tuple_key(found):
+    """The reference witness order: descending gap, then (a, b) compared as
+    tuples, as `min` orders them."""
+    gap, a, b = found
+    return -gap, tuple(a), tuple(b)
+
+
 def _fake_block(calls):
     """Stand-in for cyclic._search_block that records its sizes and
     allocates nothing beyond a uniform witness."""
@@ -524,7 +534,7 @@ class TestBlockedSearch:
         monkeypatch.setattr(cyclic.os, "cpu_count", lambda: 2)
         per_block = cyclic.SEARCH_BLOCK_CELLS // m
         trials, seed = 2 * per_block + 7, m
-        gap, a, b = min(_oracle_blocks(m, trials, seed), key=cyclic._witness_key)
+        gap, a, b = min(_oracle_blocks(m, trials, seed), key=_tuple_key)
         result = search_superadditive(m, trials, seed=seed, workers=2)
         assert np.array_equal(result.a.probs, a)
         assert np.array_equal(result.b.probs, b)
@@ -532,6 +542,53 @@ class TestBlockedSearch:
             assert result.gap_bits == gap
         else:
             assert result.gap_bits == pytest.approx(gap, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seeded_witness_follows_the_tuple_order(self, monkeypatch, m, workers):
+        # Many small blocks: every block ties at M <= 3, none at M = 4, 6.
+        monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", 24)
+        monkeypatch.setattr(cyclic.os, "cpu_count", lambda: 2)
+        for seed in range(5):
+            gap, a, b = min(_oracle_blocks(m, 40, seed), key=_tuple_key)
+            result = search_superadditive(m, 40, seed=seed, workers=workers)
+            assert np.array_equal(result.a.probs, a)
+            assert np.array_equal(result.b.probs, b)
+            assert result.gap_bits == pytest.approx(gap, rel=1e-13)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gap_ties_compare_the_arrays_like_tuples(self, monkeypatch, workers):
+        # Two gap values, and witnesses that share long prefixes, so ties
+        # are decided at every position of a and of b.
+        rng = np.random.default_rng(3)
+        m, n_blocks = 6, 40
+        found = []
+        for _ in range(n_blocks):
+            a, b = rng.integers(0, 2, size=(2, m)).astype(float) + 1.0
+            found.append((float(rng.integers(1, 3)), a / a.sum(), b / b.sum()))
+
+        def block(work, seed, index):
+            return found[index]
+
+        monkeypatch.setattr(cyclic, "SEARCH_BLOCK_CELLS", m)
+        monkeypatch.setattr(cyclic, "_search_block", block)
+        monkeypatch.setattr(cyclic.os, "cpu_count", lambda: 2)
+        gap, a, b = min(found, key=_tuple_key)
+        result = search_superadditive(m, n_blocks, seed=0, workers=workers)
+        assert result.gap_bits == gap
+        assert np.array_equal(result.a.probs, a)
+        assert np.array_equal(result.b.probs, b)
+
+    def test_large_order_search_builds_no_per_element_keys(self):
+        # Two blocks of one trial at M = 2^18 peak at about 20 MiB, 8 of
+        # them the workspace; with two tuple keys of M floats, 48 MiB.
+        tracemalloc.start()
+        try:
+            search_superadditive(1 << 18, 2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_witness_survives_later_blocks(self, monkeypatch):
         # Block 0 wins, and blocks 1 and 2 then overwrite the one workspace.
@@ -594,7 +651,44 @@ class TestBlockedSearch:
         assert tuple(result.b.probs.tolist()) == b
 
 
+def _exact_point_via_copy_distribution(state, n):
+    """A rate point below the seam from the public N-copy distribution and
+    the profile's public pieces: the series' reference."""
+    profile = dft_profile(state)
+    log2m = math.log2(profile.M)
+    pred = asymptotic_deficits(profile, n)
+    _, dev = copy_distribution_zm(state, n)
+    a_def = entropy_deficit(dev)
+    m_def = offset_entropy(cyclic._root_deviations(dev), profile.M)
+
+    def lin(deficit):
+        return -math.log2(deficit) / n if deficit > 0 else math.inf
+
+    return cyclic.ZmRatePoint(
+        n, log2m - a_def, a_def, log2m - m_def, m_def, pred.asym_bits,
+        pred.mi_bits, lin(a_def), lin(m_def), alignment_rate_zm(state), False,
+    )
+
+
 class TestRateSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(graded_prob_vectors(min_len=2, max_len=9))
+    def test_points_match_the_public_copy_distribution(self, p):
+        state = zstate(p)
+        r_max = dft_profile(state).r_max
+        # r_max = 1 (support on a coset) rounds to just below 1: no seam.
+        assume(0.0 < r_max < 0.999)
+        seam = max(1, int(EXTRAPOLATION_LOG2 / (2.0 * math.log2(r_max))))
+        n_list = sorted({1, 2, 7, max(1, seam - 1), seam, seam + 1, seam + 2})
+        points = zm_rate_series(state, n_list)
+        assert not points[0].extrapolated and points[-1].extrapolated
+        for n, point in zip(n_list, points):
+            if point.extrapolated:
+                assert point.asymmetry_deficit_bits == point.predicted_asym_deficit
+                assert point.mi_deficit_bits == point.predicted_mi_deficit
+            else:
+                assert point == _exact_point_via_copy_distribution(state, n)
+
     def test_monotone_convergence_documented_state(self, z4_psi):
         points = zm_rate_series(z4_psi, [8, 16, 32])
         target = points[0].rate_target

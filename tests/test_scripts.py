@@ -67,3 +67,10 @@ def test_superadditivity_demo_rejects_bad_arguments(args):
     err = run_script("superadditivity_demo.py", *args, returncode=2)
     assert f"error: {args[0]} must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_exp", ["0", "-2", "20", "100"])
+def test_rate_convergence_rejects_bad_max_exp(max_exp):
+    err = run_script("rate_convergence.py", "--max-exp", max_exp, returncode=2)
+    assert "error: --max-exp must be between 1 and 19" in err
+    assert "Traceback" not in err

@@ -8,12 +8,13 @@ import argparse
 import sys
 
 from framealign import GroupSpec, u1_rate_series, validate_state, zm_rate_series
+from framealign.u1 import DEFAULT_COEFF_CAP
 
 PSI = [13 / 64, 18 / 64, 19 / 64, 14 / 64]
 
-# 2**19 qubit copies carry 2**19 + 1 labels, within the U(1) pipeline's
-# 2**20-coefficient cap (framealign.u1.DEFAULT_COEFF_CAP).
-MAX_EXP = 19
+# The largest k whose 2**k qubit copies, 2**k + 1 labels, stay within the
+# U(1) pipeline's coefficient cap (a power of two).
+MAX_EXP = DEFAULT_COEFF_CAP.bit_length() - 2
 
 
 def main() -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -28,7 +27,6 @@ from .core import (
     GroupSpec,
     MalformedInput,
     ResourceLimit,
-    SpectralProfile,
     StandardState,
     dft_profile,
     load_state,
@@ -257,13 +255,10 @@ def _sweep_csv(rows: list[dict]) -> str:
 
 
 def _series_rows(
-    state: StandardState,
-    n_list: list[int],
-    grid: int | None,
-    profile: SpectralProfile | None = None,
+    state: StandardState, n_list: list[int], grid: int | None
 ) -> list[dict]:
     if state.group.is_cyclic:
-        points = cyclic.zm_rate_series(state, n_list, profile)
+        points = cyclic.zm_rate_series(state, n_list)
         return [
             {
                 "n": p.n_copies,
@@ -350,11 +345,11 @@ def _cmd_rate(args, cfg: RunConfig) -> int:
     n_list = _parse_n_list(args)
     cfg.n_list = n_list
     cfg.grid = _grid_for(state, args)
-    profile = dft_profile(state) if state.group.is_cyclic else None
-    rows = _series_rows(state, n_list, cfg.grid, profile)
+    rows = _series_rows(state, n_list, cfg.grid)
     # Every row carries the limiting rate as its target.
     summary: dict = {"rate_bits": rows[0]["target"]}
-    if profile is not None:
+    if state.group.is_cyclic:
+        profile = dft_profile(state)
         summary["r_max"] = profile.r_max
         summary["maximizer_set"] = list(profile.S)
         summary["degeneracy_weight"] = profile.D
@@ -525,27 +520,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("asymmetry")
     _add_state_args(sub)
     _add_common(sub)
+    sub.set_defaults(func=_cmd_asymmetry)
 
     sub = subs.add_parser("mi")
     _add_state_args(sub)
     _add_common(sub)
     sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
+    sub.set_defaults(func=_cmd_mi)
 
     sub = subs.add_parser("rate")
     _add_state_args(sub)
     _add_common(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--grid", type=int, help="quadrature grid size (power of two)")
+    sub.set_defaults(func=_cmd_rate)
 
     sub = subs.add_parser("superadd")
     sub.add_argument("--a", required=True, help="state file for the first factor")
     sub.add_argument("--b", required=True, help="state file for the second factor")
     _add_common(sub)
+    sub.set_defaults(func=_cmd_superadd)
 
     sub = subs.add_parser("search")
     sub.add_argument("--group", help="zM group to search")
     sub.add_argument("--trials", type=int, default=1000)
     _add_common(sub)
+    sub.set_defaults(func=_cmd_search)
 
     sub = subs.add_parser("optimize")
     _add_state_args(sub)
@@ -553,25 +553,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--restarts", type=int, default=5)
     sub.add_argument("--outcomes", type=int, default=None)
     sub.add_argument("--max-iters", dest="max_iters", type=int, default=500)
+    sub.set_defaults(func=_cmd_optimize)
 
     sub = subs.add_parser("sample")
     _add_state_args(sub)
     _add_common(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--shots", type=int, default=10000)
+    sub.set_defaults(func=_cmd_sample)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: building it costs more than a small command."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = RunConfig(
@@ -583,8 +580,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         _check_out(args.out)
-        # Looked up per call: the parser outlives a handler replaced later.
-        return globals()[f"_cmd_{args.subcommand}"](args, cfg)
+        return args.func(args, cfg)
     except MemoryError as exc:  # numpy raises a private subclass: one stable name
         _report("MemoryError", str(exc))
         return EXIT_RESOURCE

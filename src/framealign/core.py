@@ -114,6 +114,21 @@ class GroupSpec:
         return self.M if self.kind == "cyclic" else self.d  # type: ignore[return-value]
 
 
+def _sums_to(x: np.ndarray, target: float, tol: float) -> bool:
+    """abs(math.fsum(x) - target) <= tol, deciding clear cases without fsum.
+
+    Any float summation of n terms is within n*eps*sum|x| of the exact sum
+    (eps = 2u covers the rounding of sum|x| too), so a pairwise np.sum that
+    lands within tol/2 of the target settles the check; everything else
+    (near misses, inf, NaN, overflow) goes to the exactly rounded fsum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = x.size * np.finfo(float).eps * float(np.sum(np.abs(x)))
+        if abs(float(np.sum(x)) - target) + bound <= tol / 2:
+            return True
+    return abs(math.fsum(x.tolist()) - target) <= tol
+
+
 @dataclass(frozen=True)
 class StandardState:
     """A resource state in standard form: a group tag plus amplitudes-squared p_k.
@@ -133,7 +148,7 @@ class StandardState:
             )
         if np.any(p < 0):
             raise NegativeProbability("probabilities must be non-negative")
-        if abs(math.fsum(p.tolist()) - 1.0) > 1e-12:
+        if not _sums_to(p, 1.0, 1e-12):
             raise SumOutOfTolerance("probabilities must sum to 1 within 1e-12")
         p = p.copy()
         p.setflags(write=False)
@@ -161,7 +176,7 @@ class CopyDistribution:
             raise WrongLength(f"copy distribution needs {expected} entries")
         if np.any(c < 0):
             raise NegativeProbability("copy distribution must be non-negative")
-        if abs(math.fsum(c.tolist()) - 1.0) > 1e-10:
+        if not _sums_to(c, 1.0, 1e-10):
             raise SumOutOfTolerance("copy distribution must sum to 1 within 1e-10")
         c = c.copy()
         c.setflags(write=False)
@@ -179,7 +194,7 @@ class DeviationVector:
         d = np.asarray(self.deltas, dtype=float)
         if d.ndim != 1 or d.size != self.M:
             raise WrongLength(f"deviation vector needs {self.M} entries")
-        if abs(math.fsum(d.tolist())) > 1e-10:
+        if not _sums_to(d, 0.0, 1e-10):
             raise SumOutOfTolerance("deviations must sum to 0 within 1e-10")
         d = d.copy()
         d.setflags(write=False)

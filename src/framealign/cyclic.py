@@ -128,16 +128,8 @@ def copy_distribution_zm(
     _require_cyclic(state)
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
-    dev = _copy_deviations(dft_vector(state.probs), n_copies)
-    c = np.maximum((1.0 + dev.deltas) / dev.M, 0.0)
-    return CopyDistribution(state.group, n_copies, c), dev
-
-
-def _copy_deviations(z: np.ndarray, n_copies: int) -> DeviationVector:
-    """Deviations of the N-copy distribution from the single-copy transform z
-    (the kernel of :func:`core.dft_vector`; z[0] is ignored)."""
-    m = z.size
-    z = z.copy()
+    m = state.group.M
+    z = dft_vector(state.probs)
     z[0] = 0.0
     powered = z**n_copies
     deltas = np.maximum(np.fft.fft(powered).real, -1.0)
@@ -145,7 +137,9 @@ def _copy_deviations(z: np.ndarray, n_copies: int) -> DeviationVector:
     # rounding noise; snap it onto the boundary, otherwise downstream
     # square-root amplitudes blow the noise up to sqrt(eps).
     deltas[1.0 + deltas <= 64.0 * m * np.finfo(float).eps] = -1.0
-    return DeviationVector(m, deltas)
+    dev = DeviationVector(m, deltas)
+    c = np.maximum((1.0 + deltas) / m, 0.0)
+    return CopyDistribution(state.group, n_copies, c), dev
 
 
 def _oracle_enumerate(p: np.ndarray, m: int, n_copies: int) -> np.ndarray:
@@ -236,10 +230,12 @@ def offset_distribution(dev: DeviationVector) -> np.ndarray:
     return q
 
 
-def _zm_point(profile: SpectralProfile, n_copies: int) -> ZmRatePoint:
+def _zm_point(
+    state: StandardState, profile: SpectralProfile, n_copies: int
+) -> ZmRatePoint:
     """Both deficits, their predictions and linearized values at N copies:
-    from the N-copy deviations of the profile's transform, or past the
-    extrapolation seam from one asymptotic prediction."""
+    from one N-copy distribution, or past the extrapolation seam from one
+    asymptotic prediction."""
     log2m = math.log2(profile.M)
     target = _rate_of(profile.r_max)
     if profile.r_max == 0.0:
@@ -256,7 +252,7 @@ def _zm_point(profile: SpectralProfile, n_copies: int) -> ZmRatePoint:
         inner = size / (4.0 * LN2) + profile.D * (1.0 - n_copies * log2r)
         lin_m = -(2.0 * n_copies * log2r + math.log2(inner)) / n_copies
     else:
-        dev = _copy_deviations(profile.z, n_copies)
+        _, dev = copy_distribution_zm(state, n_copies)
         # The information deficit log2(M) - I is the offset entropy.
         a_def = entropy_deficit(dev)
         m_def = offset_entropy(_root_deviations(dev), dev.M)
@@ -282,7 +278,7 @@ def zm_asymmetry(state: StandardState, n_copies: int) -> tuple[float, float]:
     _require_cyclic(state)
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
-    point = _zm_point(dft_profile(state), n_copies)
+    point = _zm_point(state, dft_profile(state), n_copies)
     return point.asymmetry_bits, point.asymmetry_deficit_bits
 
 
@@ -293,7 +289,7 @@ def covariant_mutual_info_zm(
     _require_cyclic(state)
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
-    point = _zm_point(dft_profile(state), n_copies)
+    point = _zm_point(state, dft_profile(state), n_copies)
     return point.mi_bits, point.mi_deficit_bits
 
 
@@ -303,22 +299,14 @@ def alignment_rate_zm(state: StandardState) -> float | _InfiniteRate:
     return _rate_of(dft_profile(state).r_max)
 
 
-def zm_rate_series(
-    state: StandardState,
-    n_list: Sequence[int],
-    profile: SpectralProfile | None = None,
-) -> list[ZmRatePoint]:
-    """Per-N deficits, predictions and linearized values for a cyclic state.
-
-    `profile` is the state's :func:`core.dft_profile`, when the caller
-    already holds it."""
+def zm_rate_series(state: StandardState, n_list: Sequence[int]) -> list[ZmRatePoint]:
+    """Per-N deficits, predictions and linearized values for a cyclic state."""
     _require_cyclic(state)
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise MalformedInput("every N must be >= 1")
-    if profile is None:
-        profile = dft_profile(state)
-    return [_zm_point(profile, n) for n in n_list]
+    profile = dft_profile(state)
+    return [_zm_point(state, profile, n) for n in n_list]
 
 
 def _cyclic_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framealign import (
+    CopyDistribution,
     DeviationVector,
     GroupSpec,
     QuadratureSpec,
@@ -32,6 +33,7 @@ from framealign.core import (
     SumOutOfTolerance,
     SupportMismatch,
     WrongLength,
+    _sums_to,
     fourier_offsets,
     load_state,
     offset_entropy,
@@ -74,6 +76,76 @@ class TestValidateState:
             GroupSpec("u1", d=2, M=2)
         with pytest.raises(MalformedInput):
             GroupSpec("cyclic", M=1)
+
+
+def _fsum_check(x: np.ndarray, target: float, tol: float):
+    """The sum check as written before the np.sum shortcut."""
+    try:
+        return abs(math.fsum(x.tolist()) - target) <= tol
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _near_tolerance_sums(draw):
+    """Vectors whose exact sum sits at, just inside or just outside
+    target +- tol, some with cancelling large pairs that throw np.sum off
+    by more than the tolerance."""
+    target = draw(st.sampled_from([0.0, 1.0]))
+    tol = draw(st.sampled_from([1e-12, 1e-10]))
+    terms = draw(
+        st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=300)
+    )
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e-12]))
+    x = np.array(terms) * scale
+    off = draw(st.sampled_from([0.0, 0.25, 0.5, 0.999999, 1.0, 1.000001, 3.0]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    x = x - math.fsum(x.tolist()) / x.size + (target + sign * off * tol) / x.size
+    big = np.array(draw(st.lists(st.floats(1e2, 1e8), max_size=20)))
+    return np.concatenate([big, x, -big]), target, tol
+
+
+class TestSumChecks:
+    """`_sums_to` answers exactly as abs(math.fsum(x) - target) <= tol."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_near_tolerance_sums())
+    def test_matches_fsum_near_the_tolerance(self, case):
+        x, target, tol = case
+        assert _sums_to(x, target, tol) == _fsum_check(x, target, tol)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [np.nan, 0.0],
+            [np.inf, -1.0],
+            [np.inf, -np.inf],
+            [1e308, 1e308, -1e308],
+            [0.5, 0.5 + 2e-10],
+            [],
+        ],
+    )
+    def test_non_finite_and_overflowing_terms(self, x):
+        x = np.array(x, dtype=float)
+        want = _fsum_check(x, 1.0, 1e-10)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                _sums_to(x, 1.0, 1e-10)
+        else:
+            assert _sums_to(x, 1.0, 1e-10) == want
+
+    def test_containers_keep_their_tolerances(self):
+        m = 1 << 16
+        uniform = np.full(m, 1.0 / m)
+        CopyDistribution(GroupSpec.cyclic(m), 1, uniform)
+        DeviationVector(m, np.full(m, 1e-300))
+        off = uniform.copy()
+        off[0] += 2e-10
+        with pytest.raises(SumOutOfTolerance):
+            CopyDistribution(GroupSpec.cyclic(m), 1, off)
+        with pytest.raises(SumOutOfTolerance):
+            DeviationVector(2, np.array([1.0, -1.0 + 2e-10]))
+        DeviationVector(2, np.array([1.0, -1.0 + 5e-11]))
 
 
 class TestShannonEntropy:

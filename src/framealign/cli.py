@@ -122,7 +122,9 @@ def _parse_group(text: str, n_probs: int) -> GroupSpec:
 
 
 def _parse_n_list(args) -> list[int]:
-    if args.n_list:
+    if args.n_list is not None:
+        if args.n is not None:
+            raise MalformedInput("give either --n or --n-list, not both")
         try:
             values = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError as exc:

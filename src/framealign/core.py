@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 LN2 = math.log(2.0)
 
@@ -249,10 +248,17 @@ def validate_state(raw, group: GroupSpec) -> StandardState:
     return StandardState(group, p / total)
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x * ln(x) elementwise for x >= 0, with exact 0 at x = 0."""
+    out = np.log(x, out=np.zeros_like(x), where=x > 0)
+    out *= x
+    return out
+
+
 def shannon_entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits."""
     arr = _as_prob_array(p)
-    return -math.fsum(xlogy(arr, arr).tolist()) / LN2
+    return -math.fsum(_xlogx(arr).tolist()) / LN2
 
 
 def _uniform_kl_terms(deltas: np.ndarray) -> np.ndarray:
@@ -334,7 +340,7 @@ def offset_entropy(x: np.ndarray, k: int) -> float:
     # Offsets j < k/2 stand for j and k - j; offset k/2 is its own mirror.
     pairs = (k - 1) // 2
     t = 2.0 * np.sum(q[:pairs]) + np.sum(q[pairs:])
-    terms = -xlogy(q, q)
+    terms = -_xlogx(q)
     off = 2.0 * np.sum(terms[:pairs]) + np.sum(terms[pairs:])
     return float(-(1.0 - t) * math.log1p(-t) + off) / LN2
 

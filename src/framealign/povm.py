@@ -8,6 +8,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     LN2,
@@ -139,10 +140,11 @@ def covariant_povm(m: int) -> PovmSpec:
 
 def covariant_table(state: StandardState, n_copies: int) -> np.ndarray:
     """p(y|x) of the Fourier-basis measurement as an (M, M) circulant,
-    entry [x, y] = q[(x - y) mod M], from one length-M FFT."""
-    from scipy.linalg import circulant  # deferred: it adds ~25 ms to CLI start-up
-
-    return circulant(offset_distribution(copy_distribution_zm(state, n_copies)[1]))
+    entry [x, y] = q[(x - y) mod M], from one length-M FFT.  Row x is the
+    window of q reversed and doubled that starts at M - 1 - x."""
+    q = offset_distribution(copy_distribution_zm(state, n_copies)[1])
+    m = q.size
+    return sliding_window_view(np.tile(q[::-1], 2), m)[m - 1 :: -1].copy()
 
 
 def conditional_table(ens: EnsembleSpec, povm: PovmSpec) -> np.ndarray:

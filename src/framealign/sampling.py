@@ -14,8 +14,8 @@ from .povm import PovmSpec, conditional_table, covariant_table, ensemble_states
 # Largest M x K outcome table a simulation draws from: M = 2048 for the
 # Fourier-basis measurement.  The table, the int64 counts and their JSON or
 # CSV text all grow with M * K: `framealign sample --group z2048` peaks at
-# 0.46 GB in JSON with 10^6 shots and at 0.61 GB with every cell filled
-# (10^12 shots), while M = 2896 (2^23 cells) reaches 0.85 GB.
+# about 330 MiB in JSON with 10^6 shots and 340 MiB with every cell filled
+# (10^12 shots).
 MAX_SAMPLE_CELLS = 1 << 22
 
 
@@ -52,8 +52,8 @@ def simulate_protocol(
     circulant `covariant_table`; no dense POVM is built for it.
     Bit-identical counts for identical (seed, shots, inputs).
     """
-    if shots < 1:
-        raise MalformedInput("shots must be >= 1")
+    if not 1 <= shots <= np.iinfo(np.int64).max:
+        raise MalformedInput("shots must be between 1 and 2^63 - 1")
     m = state.group.dim
     cells = m * (m if povm is None else povm.n_outcomes)
     if cells > MAX_SAMPLE_CELLS:

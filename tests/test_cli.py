@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +286,27 @@ class TestSampleCommand:
         assert len(lines) == 5
 
 
+def test_import_loads_no_scipy():
+    # Every command is a fresh process: the CLI's start-up needs numpy only.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import framealign, framealign.cli\n"
+        "for mod in pkgutil.iter_modules(framealign.__path__):\n"
+        "    importlib.import_module('framealign.' + mod.name)\n"
+        "framealign.cli.build_parser()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "run.json"
@@ -436,6 +461,25 @@ class TestInputRejection:
         assert main(argv + ["--outcomes", "4"]) == 2
         assert_one_json_error(capsys, "MalformedInput")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--group", "z4", "--probs", "0.4,0.3,0.2,0.1", "--n", "3",
+             "--n-list", "1,2"],
+            ["asymmetry", "--group", "z4", "--probs", "0.4,0.3,0.2,0.1",
+             "--n-list", ""],
+        ],
+    )
+    def test_n_with_n_list_or_empty_n_list_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert_one_json_error(capsys, "MalformedInput")
+
+    @pytest.mark.parametrize("shots", [2**63, 10**20])
+    def test_shots_beyond_int64_exit_2(self, capsys, shots):
+        argv = ["sample", "--group", "z4", "--probs", "0.4,0.3,0.2,0.1", "--n", "1"]
+        assert main(argv + ["--shots", str(shots)]) == 2
+        assert_one_json_error(capsys, "MalformedInput")
+
 
 class TestJsonify:
     def test_arrays(self):
@@ -554,7 +598,9 @@ FUZZ_VALUES = {
     "--restarts": st.integers(-1, 2),
     "--outcomes": st.integers(-1, 6),
     "--max-iters": st.integers(-1, 20),
-    "--shots": st.integers(-5, 2000),
+    "--shots": st.one_of(
+        st.integers(-5, 2000), st.sampled_from([2**63 - 1, 2**63, 10**20])
+    ),
     "--format": st.sampled_from(["json", "csv", "xml"]),
     "--workers": st.sampled_from([1, 2, 3, 0]),
     "--seed": st.sampled_from([0, 1, 7, -1]),

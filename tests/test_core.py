@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from framealign import (
     CopyDistribution,
@@ -34,6 +35,7 @@ from framealign.core import (
     SupportMismatch,
     WrongLength,
     _sums_to,
+    _xlogx,
     fourier_offsets,
     load_state,
     offset_entropy,
@@ -166,6 +168,41 @@ class TestShannonEntropy:
     def test_rejects_negative(self):
         with pytest.raises(NegativeProbability):
             shannon_entropy([0.5, -0.5, 1.0])
+
+
+_RNG = np.random.default_rng(2024)
+TINY = np.finfo(float).tiny
+XLOGX_INPUTS = {
+    "dirichlet": np.concatenate(
+        [_RNG.dirichlet(np.full(m, a)) for m in (2, 5, 64, 4096) for a in (0.05, 1, 20)]
+    ),
+    "subnormal": np.concatenate(
+        [[5e-324, 1e-323, np.nextafter(TINY, 0), TINY], _RNG.uniform(0, TINY, 10000)]
+    ),
+    "logspace": np.logspace(-320, 0, 20001),
+}
+
+
+class TestXlogx:
+    """numpy's x ln x against scipy.special.xlogy."""
+
+    def test_exact_zero_at_zero(self):
+        x = np.array([0.0, 0.25, 0.0, 1.0])
+        out = _xlogx(x)
+        assert out[0] == out[2] == out[3] == 0.0
+        assert not np.signbit(out[[0, 2, 3]]).any()
+        assert np.array_equal(out, xlogy(x, x))
+
+    @pytest.mark.parametrize("name", sorted(XLOGX_INPUTS))
+    def test_within_one_ulp_of_the_logarithm(self, name):
+        # numpy's log and libm's may differ in the last bit; x times a
+        # one-ulp move of ln x moves the product by at most two of its ulps.
+        x = XLOGX_INPUTS[name]
+        logs = np.log(x)
+        libm = np.array([math.log(v) for v in x.tolist()])
+        assert np.all(np.abs(logs - libm) <= np.spacing(np.abs(libm)))
+        ours, ref = _xlogx(x), xlogy(x, x)
+        assert np.all(np.abs(ours - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 class TestEntropyDeficit:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 
 from framealign import (
     GroupSpec,
@@ -15,6 +16,7 @@ from framealign import (
     zm_asymmetry,
 )
 from framealign.core import DimensionMismatch, MalformedInput, ResourceLimit
+from framealign.cyclic import copy_distribution_zm, offset_distribution
 from framealign.povm import (
     MAX_DENSE_ENTRIES,
     PovmSpec,
@@ -266,6 +268,13 @@ class TestCovariantTable:
             state = zstate(probs)
             dense = conditional_table(ensemble_states(state, n), covariant_povm(m))
             assert np.max(np.abs(covariant_table(state, n) - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 31, 128, 2048])
+    def test_bitwise_equal_to_scipy_circulant(self, m, n):
+        state = zstate(random_simplex(np.random.default_rng(m + n), m))
+        q = offset_distribution(copy_distribution_zm(state, n)[1])
+        assert np.array_equal(covariant_table(state, n), circulant(q))
 
     def test_rows_are_distributions_with_the_analytic_information(self, z4_psi):
         table = covariant_table(z4_psi, 3)

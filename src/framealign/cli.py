@@ -41,6 +41,9 @@ EXIT_RESOURCE = 3
 EXIT_NONCONVERGED = 4
 
 _GROUP_RE = re.compile(r"^[zZ](\d+)$")
+# The digits of a --probs token's decimal exponent, as Fraction reads them.
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)$")
+_MAX_PROBS_EXPONENT = 1000
 
 
 @dataclasses.dataclass
@@ -81,6 +84,13 @@ def _parse_probs(text: str) -> list[Fraction]:
     parts = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not parts:
         raise MalformedInput("empty probability list")
+    for tok in parts:
+        # Fraction builds 10**exponent exactly: past +-1000 no float needs
+        # it, and at 1e999999999 it does not finish.
+        match = _EXPONENT_RE.search(tok)
+        digits = match.group(1).replace("_", "").lstrip("0") if match else ""
+        if len(digits) > 4 or int(digits or 0) > _MAX_PROBS_EXPONENT:
+            raise MalformedInput(f"exponent beyond +-1000 in {tok[:40]!r}")
     try:
         fracs = [Fraction(tok) for tok in parts]
     except (ValueError, ZeroDivisionError) as exc:
@@ -102,11 +112,14 @@ def _resolve_state(args, cfg: RunConfig) -> StandardState:
             raise MalformedInput("--probs needs --group")
         fracs = _parse_probs(args.probs)
         total = sum(fracs)
-        if abs(float(total) - 1.0) > 1e-6:
-            raise MalformedInput(f"probabilities sum to {float(total)!r}, not 1")
-        normalized = [f / total for f in fracs]
-        group = _parse_group(args.group, len(normalized))
-        state = validate_state([float(f) for f in normalized], group)
+        try:
+            if abs(float(total) - 1.0) > 1e-6:
+                raise MalformedInput(f"probabilities sum to {float(total)!r}, not 1")
+            floats = [float(f / total) for f in fracs]
+        except OverflowError as exc:
+            raise MalformedInput(f"probabilities overflow a float: {exc}") from exc
+        group = _parse_group(args.group, len(floats))
+        state = validate_state(floats, group)
     as_json = state_to_json(state)
     cfg.group, cfg.probs = as_json["group"], as_json["probs"]
     return state
@@ -176,11 +189,36 @@ _JSON_LEAVES = {
 }
 
 
+# Float lists at least this long repr each distinct value once.
+_DISTINCT_FLOATS_MIN = 2048
+
+
+def _float_reprs(value: list) -> list[str]:
+    """[repr(v) for v in value] with one repr call per distinct value, as
+    long as at most half of the items are distinct; past that point the
+    rest are repr'd one by one.  Zeros always get their own call: -0.0 and
+    0.0 are one dict key but print differently.  (A dict keeps peak memory
+    lower than np.unique's index arrays.)"""
+    texts: dict[float, str] = {}
+    items: list[str] = []
+    half = len(value) // 2
+    for v in value:
+        text = texts.get(v)
+        if text is None or not v:
+            if len(texts) >= half:
+                items.extend(map(float.__repr__, value[len(items) :]))
+                return items
+            text = texts[v] = repr(v)
+        items.append(text)
+    return items
+
+
 def _json_text(value: Any, pad: str = "") -> str:
     """Exactly json.dumps(value, indent=2, sort_keys=True), nested at `pad`.
 
     `indent` makes json use its pure-Python encoder, which dominates large
-    outputs; here a list whose items share one leaf type is a single join.
+    outputs; here a list whose items share one leaf type is a single join,
+    and a long float list with few distinct values reprs each value once.
     What the fast paths leave out (non-finite floats, non-string keys, empty
     containers, other types) is written by json.dumps and re-indented: JSON
     text has no raw newline inside a string.
@@ -191,6 +229,8 @@ def _json_text(value: Any, pad: str = "") -> str:
         kinds = set(map(type, value))
         leaf = _JSON_LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(leaf, value) if leaf else (_json_text(v, inner) for v in value)
+        if leaf is float.__repr__ and len(value) >= _DISTINCT_FLOATS_MIN:
+            items = _float_reprs(value)
         text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
         if leaf is not float.__repr__ or "n" not in text:  # as in "inf", "nan"
             return text

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +128,68 @@ def _sums_to(x: np.ndarray, target: float, tol: float) -> bool:
     return abs(math.fsum(x.tolist()) - target) <= tol
 
 
+# Below this many entries math.fsum is as fast as _fsum's vector passes.
+_FSUM_VECTOR_MIN = 2048
+
+
+def _fsum(x: np.ndarray) -> float:
+    """Exactly math.fsum(x) for a 1-d float array, without building a list.
+
+    A pairwise tree of error-free TwoSum steps (Ogita, Rump and Oishi, SIAM
+    J. Sci. Comput. 26, 1955 (2005)) turns x into hi + sum(err) with the
+    same exact sum.  lo = np.sum(err) is within used*eps*sum|err| of
+    sum(err); when that bound plus the rounding error of hi + lo stays
+    under half the gap to the neighbouring floats, hi + lo is the exactly
+    rounded sum.  Everything else goes to math.fsum itself, which then
+    returns or raises exactly as it would: short inputs, inputs that could
+    overflow or hold inf or NaN, and undecided results, among them zero
+    and anything below about 2^-1000 (the bound adds 2^-1070 for subnormal
+    rounding).
+    """
+    n = x.size
+    if n < _FSUM_VECTOR_MIN:
+        return math.fsum(x.tolist())
+    # n * max|x| bounds every partial sum of fsum's and of the tree.
+    limit = 2.0**1020 / n
+    if not (-limit < np.min(x) and np.max(x) < limit):
+        return math.fsum(x.tolist())
+    # Level k adds its two halves into ping-pong buffers, carrying an odd
+    # last entry; its errors fill err[used:used+h], with err[used+h:] free
+    # for scratch (the n-1 errors of all levels fit err exactly).
+    err = np.empty(n)
+    first = n - n // 2
+    work = np.empty(first + first // 2 + 1)
+    out, spare = work[:first], work[first:]
+    used = 0
+    s = x
+    while s.size > 1:
+        m = s.size
+        h = m // 2
+        a, b = s[:h], s[h : 2 * h]
+        t = out[: m - h]
+        t[h:] = s[2 * h :]
+        pair = np.add(a, b, out=t[:h])
+        bb = np.subtract(pair, a, out=err[used + h : used + 2 * h])
+        e = np.subtract(pair, bb, out=err[used : used + h])
+        np.subtract(a, e, out=e)
+        np.subtract(b, bb, out=bb)
+        np.add(e, bb, out=e)
+        used += h
+        s, out, spare = t, spare, out
+    hi = float(s[0])
+    errs = err[:used]
+    lo = float(np.sum(errs))
+    abs_sum = float(np.sum(np.abs(errs, out=errs)))
+    bound = used * np.finfo(float).eps * abs_sum + 2.0**-1070
+    r = hi + lo
+    bb = r - hi
+    residual = (hi - (r - bb)) + (lo - bb)
+    gap = min(r - math.nextafter(r, -math.inf), math.nextafter(r, math.inf) - r)
+    if abs(residual) + bound < gap / 2:
+        return r
+    return math.fsum(x.tolist())
+
+
 @dataclass(frozen=True)
 class StandardState:
     """A resource state in standard form: a group tag plus amplitudes-squared p_k.
@@ -138,6 +200,11 @@ class StandardState:
 
     group: GroupSpec
     probs: np.ndarray
+    # The spectral profile of a cyclic state, made on first use; probs is
+    # read-only, so it never goes stale.
+    _profile: SpectralProfile | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -242,7 +309,10 @@ def validate_state(raw, group: GroupSpec) -> StandardState:
     p = _as_prob_array(raw, name="probs")
     if p.size != group.dim:
         raise WrongLength(f"group expects {group.dim} entries, got {p.size}")
-    total = math.fsum(p.tolist())
+    try:
+        total = _fsum(p)
+    except OverflowError as exc:
+        raise SumOutOfTolerance("probabilities overflow when summed") from exc
     if abs(total - 1.0) > INPUT_SUM_TOL:
         raise SumOutOfTolerance(f"probabilities sum to {total!r}, not 1")
     return StandardState(group, p / total)
@@ -306,7 +376,7 @@ def entropy_deficit(dev: DeviationVector) -> float:
     if np.any(dev.deltas < -1.0):
         raise DeltaOutOfRange("deviations below -1 do not describe probabilities")
     terms = _uniform_kl_terms(dev.deltas)
-    return math.fsum(terms.tolist()) / (dev.M * LN2)
+    return _fsum(terms) / (dev.M * LN2)
 
 
 def relative_entropy_diag(c, sigma) -> float:
@@ -351,9 +421,19 @@ def dft_vector(p: np.ndarray) -> np.ndarray:
 
 
 def dft_profile(state: StandardState) -> SpectralProfile:
-    """Spectral profile (moduli, phases, maximizer set) of a cyclic state."""
+    """Spectral profile (moduli, phases, maximizer set) of a cyclic state.
+
+    Made once per state and kept on it; its arrays are read-only.
+    """
     if not state.group.is_cyclic:
         raise GroupMismatch("spectral profiles are defined for cyclic states")
+    return _state_profile(state)
+
+
+def _state_profile(state: StandardState) -> SpectralProfile:
+    """dft_profile of a cyclic state, made on its first call and kept on it."""
+    if state._profile is not None:
+        return state._profile
     M = state.group.M
     z = dft_vector(state.probs)
     z[0] = 1.0
@@ -372,7 +452,9 @@ def dft_profile(state: StandardState) -> SpectralProfile:
     z.setflags(write=False)
     r.setflags(write=False)
     theta.setflags(write=False)
-    return SpectralProfile(M, z, r, theta, r_max, maximizers, weight)
+    profile = SpectralProfile(M, z, r, theta, r_max, maximizers, weight)
+    object.__setattr__(state, "_profile", profile)
+    return profile
 
 
 # --- state file format -------------------------------------------------------

@@ -26,8 +26,9 @@ from .core import (
     ResourceLimit,
     SpectralProfile,
     StandardState,
+    _fsum,
+    _state_profile,
     dft_profile,
-    dft_vector,
     entropy_deficit,
     fourier_offsets,
     offset_entropy,
@@ -129,9 +130,10 @@ def copy_distribution_zm(
     if n_copies < 1:
         raise MalformedInput("n_copies must be >= 1")
     m = state.group.M
-    z = dft_vector(state.probs)
-    z[0] = 0.0
-    powered = z**n_copies
+    # The profile's z is dft_vector(state.probs) with z[0] = 1; the trivial
+    # component is dropped after the power, as 0**N = 0.
+    powered = _state_profile(state).z ** n_copies
+    powered[0] = 0.0
     deltas = np.maximum(np.fft.fft(powered).real, -1.0)
     # A c_k that is mathematically zero comes out of the transform as
     # rounding noise; snap it onto the boundary, otherwise downstream
@@ -369,7 +371,7 @@ def tensor_compose(a: StandardState, b: StandardState) -> CompositionResult:
     if a.group != b.group:
         raise GroupMismatch("states must share the same cyclic group")
     q = _cyclic_convolve(a.probs, b.probs)
-    q = q / math.fsum(q.tolist())
+    q = q / _fsum(q)
     omega, rates, gap = _compose_profiles(dft_profile(a), dft_profile(b))
     return CompositionResult(
         composed=StandardState(a.group, q),

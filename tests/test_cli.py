@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,41 @@ class TestInputRejection:
         assert main(argv + ["--shots", str(shots)]) == 2
         assert_one_json_error(capsys, "MalformedInput")
 
+    @pytest.mark.parametrize(
+        "group, probs",
+        [("z4", "1e400,0,0,0"), ("z2", "1e308,1e308"), ("z3", "1e400,-1e400,1")],
+    )
+    def test_probs_beyond_the_float_range_exit_2(self, capsys, group, probs):
+        assert main(["asymmetry", "--group", group, "--probs", probs]) == 2
+        assert_one_json_error(capsys, "MalformedInput")
+
+    @pytest.mark.parametrize(
+        "probs", ["1e999999999,1", "1e-999999999,1", "1E+1_001,0", "1,0e00001001"]
+    )
+    def test_probs_exponent_beyond_1000_exits_2_at_once(self, capsys, probs):
+        start = time.perf_counter()
+        assert main(["asymmetry", "--group", "z2", "--probs", probs]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert_one_json_error(capsys, "MalformedInput")
+
+    def test_probs_exponent_of_1000_is_read(self, tmp_path):
+        argv = ["asymmetry", "--group", "z2", "--probs", "1e-1000,1E+0_0"]
+        assert run_json(tmp_path, argv)["config"]["probs"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("sub", ["asymmetry", "superadd"])
+    def test_state_file_summing_past_the_float_range_exits_2(
+        self, capsys, tmp_path, sub
+    ):
+        path = tmp_path / "big.json"
+        state = {"group": {"kind": "cyclic", "M": 2}, "probs": [1e308, 1e308]}
+        path.write_text(json.dumps(state))
+        if sub == "asymmetry":
+            argv = ["asymmetry", "--state", str(path)]
+        else:
+            argv = ["superadd", "--a", str(path), "--b", str(path)]
+        assert main(argv) == 2
+        assert_one_json_error(capsys, "SumOutOfTolerance")
+
 
 class TestJsonify:
     def test_arrays(self):
@@ -525,6 +561,33 @@ class TestJsonWriter:
     )
     def test_non_finite_floats_and_other_keys(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [0.0, -0.0, 0.1, 1e-300, 5e-324, -2.5] * 400,
+            {"probs": [1 / 3] * 2046 + [-0.0]},  # below the length cut
+            [1 / 3] * 2048 + [0.0, -0.0],
+            [i / 7 for i in range(1024)] * 2,  # half distinct
+            [i / 7 for i in range(1025)] + [0.5] * 1023,
+            [-0.0] * 1500 + [i / 7 for i in range(1500)] + [0.0] * 1500,
+            [0.5] * 3000 + [math.inf],
+            [math.nan] + [0.25, -0.0] * 1500,
+            {"a": {"b": [2.0**-1074, -(2.0**-1074)] * 1500}},
+        ],
+    )
+    def test_long_float_lists_with_few_distinct_values(self, value):
+        # Compared by line: pytest's diff of two long strings takes minutes.
+        text = cli._json_text(value).splitlines()
+        assert text == json.dumps(value, indent=2, sort_keys=True).splitlines()
+
+    def test_float_reprs_call_repr_once_per_distinct_value(self):
+        value = [0.1, 0.2, 0.1, -0.0, 0.0] * 1000
+        items = cli._float_reprs(value)
+        assert items == [repr(v) for v in value]
+        assert items[0] is items[2] is items[-5]
+        mostly_distinct = [i / 7 for i in range(3000)]
+        assert cli._float_reprs(mostly_distinct) == list(map(repr, mostly_distinct))
 
     def test_every_json_subcommand(self, tmp_path, z4_psi, z4_phi):
         save_state(z4_psi, tmp_path / "a.json")

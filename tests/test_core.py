@@ -34,6 +34,8 @@ from framealign.core import (
     SumOutOfTolerance,
     SupportMismatch,
     WrongLength,
+    _FSUM_VECTOR_MIN,
+    _fsum,
     _sums_to,
     _xlogx,
     fourier_offsets,
@@ -148,6 +150,104 @@ class TestSumChecks:
         with pytest.raises(SumOutOfTolerance):
             DeviationVector(2, np.array([1.0, -1.0 + 2e-10]))
         DeviationVector(2, np.array([1.0, -1.0 + 5e-11]))
+
+
+def _assert_same_as_fsum(x: np.ndarray) -> None:
+    """_fsum(x) has the repr of math.fsum over x (repr tells -0.0, nan and
+    every float apart), or raises the same exception type."""
+    try:
+        want = repr(math.fsum(x.tolist()))
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _fsum(x)
+        return
+    got = _fsum(x)
+    assert type(got) is float
+    assert repr(got) == want
+
+
+@st.composite
+def _fsum_inputs(draw):
+    """Float vectors on both sides of the vector-path cutoff: magnitudes
+    from 1e-300 to 1e300, cancelling pairs, subnormals, signed zeros, terms
+    near the overflow edge, and inf or NaN."""
+    n = draw(
+        st.sampled_from(
+            [1, 7, _FSUM_VECTOR_MIN - 1, _FSUM_VECTOR_MIN, _FSUM_VECTOR_MIN + 1, 4099]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(st.sampled_from([(0, 0), (-300, 300), (-20, 20), (-310, -290)]))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(low, high + 1, n)
+    if draw(st.booleans()):  # cancelling pairs, shuffled, with a small rest
+        half = x[: n // 2]
+        x[n // 2 : 2 * (n // 2)] = -half
+        x[2 * (n // 2) :] *= draw(st.sampled_from([0.0, 1e-30, 1.0]))
+        rng.shuffle(x)
+    if draw(st.booleans()):  # subnormals and signed zeros
+        picks = rng.integers(0, n, size=max(1, n // 8))
+        x[picks] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060], picks.size)
+    if draw(st.booleans()):
+        x[:] = draw(st.sampled_from([0.0, -0.0]))
+    if n >= 3 and draw(st.booleans()):  # an exact sum at, or just off, a tie
+        scale = 2.0 ** draw(st.integers(-900, 900))
+        nudge = draw(st.sampled_from([0.0, 2.0**-120, -(2.0**-300), 2.0**-1000]))
+        pairs = rng.standard_normal((n - 3) // 2) * scale * 2.0**20
+        tie = np.array([1.0, 2.0**-53, nudge]) * scale
+        x = np.concatenate([tie, pairs, -pairs, np.zeros((n - 3) % 2)])
+        rng.shuffle(x)
+    extra = draw(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([1e308, -1e308, 1.7e308, math.inf, -math.inf]),
+            ),
+            max_size=4,
+        )
+    )
+    x[rng.integers(0, n, size=len(extra))] = extra
+    return x
+
+
+class TestFsum:
+    """`_fsum(x)` is exactly `math.fsum(x.tolist())`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_fsum_inputs())
+    def test_matches_math_fsum(self, x):
+        _assert_same_as_fsum(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1e308, 1e308, -1e308] + [0.0] * 4096,
+            [1e308, -1e308] * 2048 + [1e308, 1e308],
+            [math.inf, -math.inf] + [1.0] * 4096,
+            [math.nan] + [1.0] * 4096,
+            [-0.0] * 4096,
+            [0.1] * 4095 + [-409.49999999999994],
+            # 1 + 2^-53 is a tie that rounds to 1; the last term decides it.
+            [1.0, 2.0**-53, 2.0**-200] + [0.0] * 4093,
+            [1.0, 2.0**-53, -(2.0**-200)] + [0.0] * 4093,
+            [1.0 + 2.0**-52, 2.0**-53, -(2.0**-200)] + [0.0] * 4093,
+        ],
+    )
+    def test_edges(self, x):
+        _assert_same_as_fsum(np.array(x))
+
+    def test_long_sums_do_not_build_a_list(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("fell back to math.fsum")
+
+        rng = np.random.default_rng(5)
+        cases = [
+            rng.random(1 << 16),
+            rng.standard_normal(5000) * 1e-200,
+            np.sort(rng.standard_normal(_FSUM_VECTOR_MIN))[::-1],
+        ]
+        want = [math.fsum(x.tolist()) for x in cases]
+        monkeypatch.setattr(math, "fsum", refuse)
+        assert [_fsum(x) for x in cases] == want
 
 
 class TestShannonEntropy:
@@ -347,6 +447,20 @@ class TestDftProfile:
 
     def test_z0_is_exactly_one(self, z4_psi):
         assert dft_profile(z4_psi).z[0] == 1.0
+
+    def test_repeated_calls_return_equal_read_only_arrays(self):
+        rng = np.random.default_rng(9)
+        state = validate_state(random_simplex(rng, 4096), GroupSpec.cyclic(4096))
+        first, second = dft_profile(state), dft_profile(state)
+        for a, b in zip(
+            (first.z, first.r, first.theta), (second.z, second.r, second.theta)
+        ):
+            assert not a.flags.writeable and not b.flags.writeable
+            assert np.array_equal(a, b)
+        assert (first.r_max, first.S, first.D) == (second.r_max, second.S, second.D)
+        z = np.fft.ifft(state.probs) * 4096
+        z[0] = 1.0
+        assert np.array_equal(first.z, z)
 
     @settings(max_examples=40)
     @given(prob_vectors(min_len=2, max_len=8))

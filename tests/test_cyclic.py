@@ -88,6 +88,35 @@ class TestCopyDistribution:
             assert np.max(np.abs(dft_vector(c.c) - single**n)) <= 1e-12
 
 
+def _copy_distribution_via_dft_vector(state, n_copies):
+    """copy_distribution_zm's (c, deltas) as computed before the transform
+    came from the state's profile: from its own dft_vector call."""
+    from framealign.core import dft_vector
+
+    m = state.group.M
+    z = dft_vector(state.probs)
+    z[0] = 0.0
+    deltas = np.maximum(np.fft.fft(z**n_copies).real, -1.0)
+    deltas[1.0 + deltas <= 64.0 * m * np.finfo(float).eps] = -1.0
+    return np.maximum((1.0 + deltas) / m, 0.0), deltas
+
+
+@pytest.mark.parametrize("m", [2, 3, 4096, 65536])
+def test_copy_distribution_matches_its_own_transform_bitwise(m):
+    # Mostly uniform with a peaked part on a few labels, as in the
+    # benchmark's states, so that deltas stay nonzero up to N = 480.
+    rng = np.random.default_rng(m)
+    k = min(m, 8)
+    p = np.full(m, 0.5 / m)
+    p[rng.choice(m, size=k, replace=False)] += random_simplex(rng, k) / 2
+    state = zstate(p)
+    for n in (1, 99, 100, 480):
+        c, dev = copy_distribution_zm(state, n)
+        want_c, want_deltas = _copy_distribution_via_dft_vector(state, n)
+        assert c.c.tobytes() == want_c.tobytes()
+        assert dev.deltas.tobytes() == want_deltas.tobytes()
+
+
 class TestMultinomialOracle:
     def test_single_copy_identity(self, z4_psi):
         assert multinomial_oracle_zm(z4_psi, 1).c == pytest.approx(

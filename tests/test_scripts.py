@@ -54,6 +54,19 @@ def test_superadditivity_demo():
     assert out.rstrip().splitlines()[-1].startswith("  gap    = ")
 
 
+def test_output_digest_tiny():
+    args = ("--workload", "zm_rate", "--seed", "5", "--reps", "2", "--tiny")
+    out = run_script("output_digest.py", *args)
+    rows = [line.split("\t") for line in out.splitlines()]
+    # Per repetition: 3 rates, 2 asymmetry/mi pairs and 2 superadds.
+    assert [row[0] for row in rows] == ["0"] * 9 + ["1"] * 9
+    assert rows[0][1] == "rate z64 5 N"
+    assert {row[2] for row in rows} == {"0"}
+    assert all(len(row[3]) == 64 and int(row[3], 16) >= 0 for row in rows)
+    # Fresh temporary directories, the same digests.
+    assert run_script("output_digest.py", *args) == out
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -21,9 +21,10 @@ from .cyclic import copy_distribution_zm, offset_distribution
 
 PSD_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
-# Seed ascent: L-BFGS memory, Armijo constant, the step below which the
-# backtracking gives up, and the size of restart 0's nudge off the Fourier seed.
+# Seed ascent: L-BFGS memory, the step gain that ends it as converged, Armijo
+# constant, the backtracking's smallest step, restart 0's nudge off Fourier.
 LBFGS_PAIRS = 8
+GAIN_TOL = 1e-10
 ARMIJO_C1 = 1e-4
 MIN_STEP = 2.0**-60
 FOURIER_NUDGE = 1e-3
@@ -93,14 +94,11 @@ class OptimizerConfig:
     outcomes: int | None = None
     restarts: int = 5
     max_iters: int = 500
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise MalformedInput("restarts and max_iters must be positive")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise MalformedInput("tol must be positive and finite")
         if self.outcomes is not None and self.outcomes < 1:
             raise MalformedInput("outcomes must be positive")
 
@@ -193,7 +191,7 @@ def _ascend(
     amps: np.ndarray, a: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, float, list[float], bool]:
     """L-BFGS ascent on the seeds with Armijo backtracking; converged when an
-    accepted step gains less than cfg.tol."""
+    accepted step gains less than GAIN_TOL."""
     info, grad = _seed_info(a, amps)
     pairs: deque = deque(maxlen=LBFGS_PAIRS)
     trace: list[float] = []
@@ -228,7 +226,7 @@ def _ascend(
             pairs.append((s, y, 1.0 / curvature))
         a, info, grad = trial, new_info, new_grad
         trace.append(info)
-        if gain < cfg.tol:
+        if gain < GAIN_TOL:
             return a, info, trace, True
     return a, info, trace, False
 

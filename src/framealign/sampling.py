@@ -2,20 +2,26 @@
 sample Bob's outcome, and estimate the mutual information empirically."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
 
-from .core import LN2, MalformedInput, ResourceLimit, StandardState, shannon_entropy
+from .core import (
+    LN2,
+    MalformedInput,
+    ResourceLimit,
+    StandardState,
+    _fsum,
+    shannon_entropy,
+)
 from .povm import PovmSpec, conditional_table, covariant_table, ensemble_states
 
 # Largest M x K outcome table a simulation draws from: M = 2048 for the
 # Fourier-basis measurement.  The table, the int64 counts and their JSON or
 # CSV text all grow with M * K: `framealign sample --group z2048` peaks at
-# about 330 MiB in JSON with 10^6 shots and 340 MiB with every cell filled
-# (10^12 shots).
+# about 220 MiB with 10^6 shots, in JSON or CSV, and at 340 MiB in JSON with
+# every cell filled (10^12 shots), where the JSON text sets the peak.
 MAX_SAMPLE_CELLS = 1 << 22
 
 
@@ -77,7 +83,7 @@ def mutual_info_of_counts(counts) -> float:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 2:
         raise MalformedInput("need a 2-d count matrix")
-    total = math.fsum(arr.ravel().tolist())
+    total = _fsum(arr.ravel())
     if total <= 0:
         raise MalformedInput("counts must have positive total")
     joint = arr / total

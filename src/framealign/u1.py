@@ -15,6 +15,7 @@ from .core import (
     MalformedInput,
     ResourceLimit,
     StandardState,
+    _fsum,
     offset_entropy,
     shannon_entropy,
 )
@@ -80,8 +81,8 @@ def distribution_variance(c) -> float:
     """Variance of an integer-indexed distribution c_0..c_{L-1}."""
     arr = np.asarray(c, dtype=float)
     n = np.arange(arr.size, dtype=float)
-    mean = math.fsum((n * arr).tolist())
-    return math.fsum((arr * (n - mean) ** 2).tolist())
+    mean = _fsum(n * arr)
+    return _fsum(arr * (n - mean) ** 2)
 
 
 def number_variance(state: StandardState) -> float:
@@ -151,7 +152,7 @@ def copy_distribution_u1(state: StandardState, n_copies: int) -> CopyDistributio
             # would round log p_j* away.
             top = int(np.argmax(log_p + t * j))
             w = np.exp(log_p - log_p[top] + t * (j - top))
-            total = math.fsum(w.tolist())
+            total = _fsum(w)
             est = _fft_power(w / total, n_copies, k)[:out_len]
             ratio = est / est.max()
             take = np.flatnonzero(ratio > np.maximum(best, floor))
@@ -166,7 +167,7 @@ def copy_distribution_u1(state: StandardState, n_copies: int) -> CopyDistributio
     # The powered transforms carry a mass error of order N*eps; dividing it
     # out keeps H and I near 1e-12 bits at the cap and makes a point mass
     # exactly 1.
-    c /= math.fsum(c.tolist())
+    c /= _fsum(c)
     return CopyDistribution(state.group, n_copies, c)
 
 
@@ -238,22 +239,13 @@ def _rate_point(
 def u1_rate_series(
     state: StandardState,
     n_list: Sequence[int],
-    quad: QuadratureSpec | Sequence[QuadratureSpec] | None = None,
+    quad: QuadratureSpec | None = None,
 ) -> list[U1RatePoint]:
-    """Per-N asymmetry, mutual information and linearized values.
-
-    quad may be None (auto per N), a single spec reused everywhere, or one
-    spec per entry of n_list.
-    """
+    """Per-N asymmetry, mutual information and linearized values; quad=None
+    picks the grid per N, a spec is used for every N."""
     _require_u1(state)
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise MalformedInput("every N must be >= 1")
-    if quad is None or isinstance(quad, QuadratureSpec):
-        quads: list[QuadratureSpec | None] = [quad] * len(n_list)
-    else:
-        quads = list(quad)
-        if len(quads) != len(n_list):
-            raise MalformedInput("need one quadrature spec per N")
     target = regularized_asymmetry_u1(state)
-    return [_rate_point(state, n, q, target) for n, q in zip(n_list, quads)]
+    return [_rate_point(state, n, quad, target) for n in n_list]

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from framealign import GroupSpec, validate_state
+from framealign.core import _FSUM_VECTOR_MIN
 
 
 @pytest.fixture
@@ -54,6 +57,31 @@ def graded_prob_vectors(draw, min_len=2, max_len=8):
     return arr / arr.sum()
 
 
+# Lengths on both sides of _fsum's vector-path cutoff, and a long one.
+EXACT_SUM_SIZES = (7, _FSUM_VECTOR_MIN - 1, _FSUM_VECTOR_MIN, 1 << 16)
+
+
+def spread_simplex(rng, n):
+    """A probability vector whose entries span many orders of magnitude,
+    about one in eight of them exactly zero."""
+    p = rng.dirichlet(np.full(n, 0.1))
+    p[rng.integers(0, n, n // 8)] = 0.0
+    return p / p.sum()
+
+
 def random_simplex(rng, n):
     p = rng.exponential(size=n)
     return p / p.sum()
+
+
+def refuse_long_fsum(monkeypatch):
+    """Make math.fsum raise on any list long enough for _fsum's vector path,
+    so that what runs afterwards passes only if it builds no such list."""
+    fsum = math.fsum
+
+    def guarded(values):
+        if len(values) >= _FSUM_VECTOR_MIN:
+            raise AssertionError(f"math.fsum over a {len(values)}-entry list")
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", guarded)

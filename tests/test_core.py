@@ -27,10 +27,12 @@ from framealign import (
     validate_state,
 )
 from framealign.core import (
+    LN2,
     S_TIE_REL,
     DeltaOutOfRange,
     MalformedInput,
     NegativeProbability,
+    StandardState,
     SumOutOfTolerance,
     SupportMismatch,
     WrongLength,
@@ -45,7 +47,13 @@ from framealign.core import (
 )
 from framealign.cyclic import offset_distribution
 
-from conftest import prob_vectors, random_simplex
+from conftest import (
+    EXACT_SUM_SIZES,
+    prob_vectors,
+    random_simplex,
+    refuse_long_fsum,
+    spread_simplex,
+)
 
 # 1 - H(0.55, 0.45) evaluated at 50 digits.
 DEFICIT_PM01 = 0.007225546012191706
@@ -150,6 +158,21 @@ class TestSumChecks:
         with pytest.raises(SumOutOfTolerance):
             DeviationVector(2, np.array([1.0, -1.0 + 2e-10]))
         DeviationVector(2, np.array([1.0, -1.0 + 5e-11]))
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (StandardState, (GroupSpec.cyclic(2), [1e308, 1e308])),
+        (CopyDistribution, (GroupSpec.cyclic(2), 1, [1e308, 1e308])),
+        (DeviationVector, (2, [1e308, 1e308])),
+        (DeviationVector, (2, [np.inf, -np.inf])),
+    ],
+)
+def test_containers_report_unsummable_entries_as_out_of_tolerance(make, args):
+    # fsum raises OverflowError on the first three and ValueError on inf - inf.
+    with pytest.raises(SumOutOfTolerance):
+        make(*args)
 
 
 def _assert_same_as_fsum(x: np.ndarray) -> None:
@@ -268,6 +291,17 @@ class TestShannonEntropy:
     def test_rejects_negative(self):
         with pytest.raises(NegativeProbability):
             shannon_entropy([0.5, -0.5, 1.0])
+
+    @pytest.mark.parametrize("n", EXACT_SUM_SIZES)
+    def test_same_bits_as_a_list_fsum(self, n):
+        p = spread_simplex(np.random.default_rng(n), n)
+        assert shannon_entropy(p) == -math.fsum(_xlogx(p).tolist()) / LN2
+
+    def test_long_vector_builds_no_list(self, monkeypatch):
+        p = spread_simplex(np.random.default_rng(1), 1 << 16)
+        want = shannon_entropy(p)
+        refuse_long_fsum(monkeypatch)
+        assert shannon_entropy(p) == want
 
 
 _RNG = np.random.default_rng(2024)
@@ -407,6 +441,14 @@ class TestRelativeEntropyDiag:
     def test_length_mismatch(self):
         with pytest.raises(WrongLength):
             relative_entropy_diag([0.5, 0.5], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n", EXACT_SUM_SIZES)
+    def test_same_bits_as_a_list_fsum(self, n):
+        rng = np.random.default_rng(n)
+        c, sigma = spread_simplex(rng, n), random_simplex(rng, n)
+        mask = c > 0
+        want = -math.fsum((c[mask] * np.log(sigma[mask])).tolist()) / LN2
+        assert relative_entropy_diag(c, sigma) == want
 
     @settings(max_examples=50)
     @given(prob_vectors(min_len=2, max_len=6))

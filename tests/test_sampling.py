@@ -14,8 +14,10 @@ from framealign import (
     simulate_protocol,
     validate_state,
 )
-from framealign.core import MalformedInput
+from framealign.core import LN2, MalformedInput, _xlogx
 from framealign.sampling import counts_to_csv
+
+from conftest import EXACT_SUM_SIZES, refuse_long_fsum, spread_simplex
 
 
 def zstate(probs):
@@ -105,6 +107,26 @@ class TestPluginMi:
         _, corrected = plugin_mi(rec)
         analytic, _ = covariant_mutual_info_zm(z4_psi, 4)
         assert abs(corrected - analytic) <= 0.01
+
+    @pytest.mark.parametrize("n", EXACT_SUM_SIZES)
+    def test_same_bits_as_a_list_fsum(self, n):
+        shape = {7: (1, 7), 2047: (23, 89), 2048: (32, 64), 65536: (256, 256)}[n]
+        weights = spread_simplex(np.random.default_rng(n), n).reshape(shape) * 1e6
+
+        def entropy(p):
+            return -math.fsum(_xlogx(p).tolist()) / LN2
+
+        joint = weights / math.fsum(weights.ravel().tolist())
+        hxy = entropy(joint.ravel())
+        want = entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) - hxy
+        assert mutual_info_of_counts(weights) == want
+
+    def test_large_table_builds_no_list(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        counts = rng.multinomial(10**6, np.full(1 << 16, 2.0**-16)).reshape(256, 256)
+        want = mutual_info_of_counts(counts)
+        refuse_long_fsum(monkeypatch)
+        assert mutual_info_of_counts(counts) == want
 
 
 class TestCsvExport:

@@ -31,7 +31,7 @@ from framealign.u1 import (
     distribution_variance,
 )
 
-from conftest import random_simplex
+from conftest import EXACT_SUM_SIZES, random_simplex, spread_simplex
 
 # Analytic value of the covariant-measurement information for one copy of
 # the balanced qubit: 1/ln2 - 1.
@@ -116,6 +116,14 @@ class TestNumberVariance:
     def test_rejects_cyclic(self, z4_psi):
         with pytest.raises(GroupMismatch):
             number_variance(z4_psi)
+
+    @pytest.mark.parametrize("n", EXACT_SUM_SIZES)
+    def test_same_bits_as_a_list_fsum(self, n):
+        c = spread_simplex(np.random.default_rng(n), n)
+        labels = np.arange(n, dtype=float)
+        mean = math.fsum((labels * c).tolist())
+        want = math.fsum((c * (labels - mean) ** 2).tolist())
+        assert distribution_variance(c) == want
 
 
 class TestCopyDistribution:

@@ -37,8 +37,10 @@ import workloads  # noqa: E402
 from framealign import cli  # noqa: E402
 
 
-def digests(workload: str, seed: int, reps: int, tiny: bool):
-    """(repetition, label, exit code, sha256) of each command, in order."""
+def outputs(workload: str, seed: int, reps: int, tiny: bool):
+    """(repetition, label, exit code, output bytes) of each command, in
+    order: its --out bytes followed by anything it wrote to stdout, with the
+    temporary directory replaced by a fixed name."""
     with tempfile.TemporaryDirectory() as tmp:
         marker = tmp.encode()
         for rep in range(reps):
@@ -49,8 +51,13 @@ def digests(workload: str, seed: int, reps: int, tiny: bool):
                     rc = cli.main(cmd.full_argv())
                 data = cmd.out.read_bytes() if cmd.out.exists() else b""
                 data += stdout.getvalue().encode()
-                digest = hashlib.sha256(data.replace(marker, b"<tmp>")).hexdigest()
-                yield rep, cmd.label, rc, digest
+                yield rep, cmd.label, rc, data.replace(marker, b"<tmp>")
+
+
+def digests(workload: str, seed: int, reps: int, tiny: bool):
+    """(repetition, label, exit code, sha256) of each command, in order."""
+    for rep, label, rc, data in outputs(workload, seed, reps, tiny):
+        yield rep, label, rc, hashlib.sha256(data).hexdigest()
 
 
 def main() -> None:

@@ -118,17 +118,30 @@ def _sums_to(x: np.ndarray, target: float, tol: float) -> bool:
 
     Any float summation of n terms is within n*eps*sum|x| of the exact sum
     (eps = 2u covers the rounding of sum|x| too), so a pairwise np.sum that
-    lands within tol/2 of the target settles the check; everything else
-    (near misses, inf, NaN, overflow) goes to the exactly rounded fsum.
-    Not _fsum: what falls through is mostly a deviation vector summing to
-    about 0, which _fsum's rounding test cannot settle, so it would build its
-    tree and then run fsum anyway (`rate` on a Z65536 state with 16 N took
-    220-228 ms that way, 185-205 ms this way, on a 2-CPU x86 host).
+    lands within tol/2 of the target settles the check.  Past that, the
+    TwoSum tree of :func:`_sum_tree` gives a sum r within err of the exact
+    sum; when |r - target| stays more than err plus a few ulps away from
+    tol, on either side, fsum's answer is known (the ulps cover the
+    rounding of fsum and of the difference).  A tolerance decision needs no
+    exact rounding, so this also settles the deviation vectors that sum to
+    about 0, which _fsum's rounding test cannot.  Only cases within that
+    margin of the boundary, inputs too short for the tree, and inputs that
+    could overflow or hold inf or NaN go to math.fsum, which then returns or
+    raises as it always has.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = x.size * np.finfo(float).eps * float(np.sum(np.abs(x)))
+        bound = x.size * _EPS * float(np.sum(np.abs(x)))
         if abs(float(np.sum(x)) - target) + bound <= tol / 2:
             return True
+    tree = _sum_tree(x)
+    if tree is not None:
+        r, err = tree
+        off = abs(r - target)
+        margin = err + 8.0 * _EPS * (abs(r) + abs(target) + err + tol)
+        if off + margin < tol:
+            return True
+        if off - margin > tol:
+            return False
     return abs(math.fsum(x.tolist()) - target) <= tol
 
 
@@ -146,60 +159,77 @@ def _sum_checked(x: np.ndarray, target: float, tol: float, what: str) -> np.ndar
     return x
 
 
-# Below this many entries math.fsum is as fast as _fsum's vector passes.
+# Below this many entries math.fsum is as fast as the vector passes of
+# _sum_tree.
 _FSUM_VECTOR_MIN = 2048
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _sum_tree(x: np.ndarray) -> tuple[float, float] | None:
+    """(r, err): a float r with |sum(x) - r| <= err for the exact sum of a
+    1-d float array, or None when x is shorter than _FSUM_VECTOR_MIN or
+    could overflow or hold inf or NaN.
+
+    A pairwise tree of error-free TwoSum steps (Ogita, Rump and Oishi, SIAM
+    J. Sci. Comput. 26, 1955 (2005)) turns x into hi + sum(errs) with the
+    same exact sum.  lo = np.sum(errs) is within used*eps*sum|errs| of
+    sum(errs), plus 2^-1070 for subnormal rounding, and r = hi + lo adds
+    its own rounding error, which TwoSum gives exactly.
+    """
+    n = x.size
+    # n * max|x| bounds every partial sum of fsum's and of the tree.
+    if n < _FSUM_VECTOR_MIN or not max(-np.min(x), np.max(x)) < 2.0**1020 / n:
+        return None
+    # Level k adds its two halves into ping-pong buffers, carrying an odd
+    # last entry; its errors fill err[used:used+h], with err[used+h:] free
+    # for scratch (the n-1 errors of all levels fit err exactly).
+    err = np.empty(n)
+    first = n - n // 2
+    work = np.empty(first + first // 2 + 1)
+    out, spare = work[:first], work[first:]
+    used = 0
+    s = x
+    while s.size > 1:
+        m = s.size
+        h = m // 2
+        a, b = s[:h], s[h : 2 * h]
+        t = out[: m - h]
+        t[h:] = s[2 * h :]
+        pair = np.add(a, b, out=t[:h])
+        bb = np.subtract(pair, a, out=err[used + h : used + 2 * h])
+        e = np.subtract(pair, bb, out=err[used : used + h])
+        np.subtract(a, e, out=e)
+        np.subtract(b, bb, out=bb)
+        np.add(e, bb, out=e)
+        used += h
+        s, out, spare = t, spare, out
+    hi = float(s[0])
+    errs = err[:used]
+    lo = float(np.sum(errs))
+    abs_sum = float(np.sum(np.abs(errs, out=errs)))
+    bound = used * _EPS * abs_sum + 2.0**-1070
+    r = hi + lo
+    bb = r - hi
+    residual = (hi - (r - bb)) + (lo - bb)
+    return r, abs(residual) + bound
 
 
 def _fsum(x: np.ndarray) -> float:
     """Exactly math.fsum(x) for a 1-d float array, without building a list.
 
-    A pairwise tree of error-free TwoSum steps (Ogita, Rump and Oishi, SIAM
-    J. Sci. Comput. 26, 1955 (2005)) turns x into hi + sum(err) with the
-    same exact sum.  lo = np.sum(err) is within used*eps*sum|err| of
-    sum(err); when that bound plus the rounding error of hi + lo stays
-    under half the gap to the neighbouring floats, hi + lo is the exactly
-    rounded sum.  Everything else goes to math.fsum itself, which then
-    returns or raises exactly as it would: short inputs, inputs that could
-    overflow or hold inf or NaN, and undecided results, among them zero
-    and anything below about 2^-1000 (the bound adds 2^-1070 for subnormal
-    rounding).
+    When the error bound of :func:`_sum_tree` stays under half the gap to
+    the floats next to its sum r, r is the exactly rounded sum.  Everything
+    else goes to math.fsum itself, which then returns or raises exactly as
+    it would: short inputs, inputs that could overflow or hold inf or NaN,
+    and undecided results, among them zero and anything below about
+    2^-1000 (the bound adds 2^-1070 for subnormal rounding).
     """
-    n = x.size
-    # n * max|x| bounds every partial sum of fsum's and of the tree.
-    if n >= _FSUM_VECTOR_MIN and max(-np.min(x), np.max(x)) < 2.0**1020 / n:
-        # Level k adds its two halves into ping-pong buffers, carrying an odd
-        # last entry; its errors fill err[used:used+h], with err[used+h:] free
-        # for scratch (the n-1 errors of all levels fit err exactly).
-        err = np.empty(n)
-        first = n - n // 2
-        work = np.empty(first + first // 2 + 1)
-        out, spare = work[:first], work[first:]
-        used = 0
-        s = x
-        while s.size > 1:
-            m = s.size
-            h = m // 2
-            a, b = s[:h], s[h : 2 * h]
-            t = out[: m - h]
-            t[h:] = s[2 * h :]
-            pair = np.add(a, b, out=t[:h])
-            bb = np.subtract(pair, a, out=err[used + h : used + 2 * h])
-            e = np.subtract(pair, bb, out=err[used : used + h])
-            np.subtract(a, e, out=e)
-            np.subtract(b, bb, out=bb)
-            np.add(e, bb, out=e)
-            used += h
-            s, out, spare = t, spare, out
-        hi = float(s[0])
-        errs = err[:used]
-        lo = float(np.sum(errs))
-        abs_sum = float(np.sum(np.abs(errs, out=errs)))
-        bound = used * np.finfo(float).eps * abs_sum + 2.0**-1070
-        r = hi + lo
-        bb = r - hi
-        residual = (hi - (r - bb)) + (lo - bb)
+    tree = _sum_tree(x)
+    if tree is not None:
+        r, err = tree
         gap = min(r - math.nextafter(r, -math.inf), math.nextafter(r, math.inf) - r)
-        if abs(residual) + bound < gap / 2:
+        if err < gap / 2:
             return r
     return math.fsum(x.tolist())
 

@@ -44,6 +44,10 @@ ORACLE_GUARD = 10_000_000
 # as extrapolated in rate series.
 EXTRAPOLATION_LOG2 = -980.0
 
+# From this N on numpy's complex power calls libm's cpow, about ten times
+# slower than the squaring it does below, so copy_distribution_zm squares.
+SQUARING_MIN_N = 100
+
 # Cells (trials x M) drawn per factor in one search block: 512 KiB of
 # float64, so a block's two factors draw 1 MiB.  With their transform a
 # thread's workspace is about 2 MiB, allocated once per search and reused
@@ -117,14 +121,38 @@ def _require_cyclic(state: StandardState) -> None:
         raise GroupMismatch("operation needs a cyclic state")
 
 
+def _power(z: np.ndarray, n_copies: int) -> np.ndarray:
+    """z**n_copies elementwise in a new array, z left as it is: numpy's
+    power below SQUARING_MIN_N, right-to-left square-and-multiply into two
+    buffers of its own from there on."""
+    if n_copies < SQUARING_MIN_N:
+        return z**n_copies
+    square = z.copy()
+    powered = None
+    while True:
+        if n_copies & 1:
+            if powered is None:
+                powered = square.copy()
+            else:
+                powered *= square
+        n_copies >>= 1
+        if not n_copies:
+            return powered
+        square *= square
+
+
 def copy_distribution_zm(
     state: StandardState, n_copies: int
 ) -> tuple[CopyDistribution, DeviationVector]:
     """Exact N-copy label distribution c_k and its deviations from uniform.
 
     The deviations Delta_k = M*c_k - 1 are assembled directly from the
-    nontrivial transform components, so they keep full relative precision
-    even when exponentially small; c is then (1 + Delta)/M.
+    nontrivial transform components z_n**N, so they keep full relative
+    precision even when exponentially small; c is then (1 + Delta)/M.  The
+    power is numpy's below N = SQUARING_MIN_N and square-and-multiply from
+    there on, where its relative error stays within N*eps of the exact
+    power of each z_n (tested against 40-digit mpmath up to N = 2000;
+    numpy's cpow reached 2.2*N*eps).
     """
     _require_cyclic(state)
     if n_copies < 1:
@@ -132,7 +160,7 @@ def copy_distribution_zm(
     m = state.group.M
     # The profile's z is dft_vector(state.probs) with z[0] = 1; the trivial
     # component is dropped after the power, as 0**N = 0.
-    powered = _state_profile(state).z ** n_copies
+    powered = _power(_state_profile(state).z, n_copies)
     powered[0] = 0.0
     deltas = np.maximum(np.fft.fft(powered).real, -1.0)
     # A c_k that is mathematically zero comes out of the transform as

@@ -155,6 +155,23 @@ class TestAsymmetryAndMi:
         assert main(argv + [str(n + 2)]) == 3
         assert_one_json_error(capsys, "ResourceLimit")
 
+    @pytest.mark.parametrize(
+        "group, probs, deficit",
+        [("z3", "0,1,0", math.log2(3)), ("z8", "0,.5,0,0,0,.5,0,0", 2.0)],
+    )
+    @pytest.mark.parametrize("sub, key", [("asymmetry", "h"), ("mi", "i")])
+    def test_coset_states_at_a_million_copies(
+        self, tmp_path, group, probs, deficit, sub, key
+    ):
+        # A state on one coset of a subgroup keeps |z_n| = 1 at every n on
+        # the dual subgroup, so its deficits stay log2 of the coset count
+        # and the N-th power carries the whole rounding error of z_n**N.
+        argv = [sub, "--group", group, "--probs", probs, "--n", str(2**20)]
+        point = run_json(tmp_path, argv)["points"][0]
+        bits = math.log2(int(group[1:])) - deficit
+        assert point[f"{key}_deficit"] == pytest.approx(deficit, abs=1e-8)
+        assert point[f"{key}_bits"] == pytest.approx(bits, abs=1e-8)
+
     def test_n_list_must_increase(self, capsys):
         rc = main(["asymmetry", "--group", "z2", "--probs", "3/4,1/4", "--n-list", "4,2"])
         assert rc == 2

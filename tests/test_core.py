@@ -83,6 +83,15 @@ class TestValidateState:
         state = validate_state((0.5000001, 0.5), GroupSpec.u1(2))
         assert math.isclose(math.fsum(state.probs), 1.0, abs_tol=1e-15)
 
+    def test_long_state_builds_no_list(self, monkeypatch):
+        # The normalized state's sum check is below the np.sum bound's reach
+        # at this length; the TwoSum tree must settle it.
+        group = GroupSpec.cyclic(1 << 16)
+        p = spread_simplex(np.random.default_rng(3), 1 << 16)
+        want = validate_state(p, group).probs
+        refuse_long_fsum(monkeypatch)
+        assert validate_state(p, group).probs.tobytes() == want.tobytes()
+
     def test_group_variant_exclusive(self):
         with pytest.raises(MalformedInput):
             GroupSpec("u1", d=2, M=2)
@@ -173,6 +182,37 @@ def test_containers_report_unsummable_entries_as_out_of_tolerance(make, args):
     # fsum raises OverflowError on the first three and ValueError on inf - inf.
     with pytest.raises(SumOutOfTolerance):
         make(*args)
+
+
+@st.composite
+def _long_near_tolerance_sums(draw):
+    """As _near_tolerance_sums, at the lengths where _sums_to can use the
+    TwoSum tree: 2048 to 70000 terms of spread magnitudes from a seeded
+    generator, shifted so that their exact sum sits at, just inside or just
+    outside target +- tol, some with cancelling large pairs."""
+    n = draw(st.integers(_FSUM_VECTOR_MIN, 70000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = draw(st.sampled_from([0.0, 1.0]))
+    tol = draw(st.sampled_from([1e-12, 1e-10]))
+    scale = draw(st.sampled_from([1.0, 1e-6, 1e-12]))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n) * scale
+    off = draw(st.sampled_from([0.0, 0.25, 0.5, 0.999999, 1.0, 1.000001, 3.0]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    x = x - math.fsum(x.tolist()) / n + (target + sign * off * tol) / n
+    # Pairs up to 1e16 leave TwoSum errors near 1, which np.sum adds with
+    # an error of the order of tol.
+    big_scale = draw(st.sampled_from([1.0, 1e8]))
+    big = rng.uniform(1e2, 1e8, draw(st.integers(0, 20))) * big_scale
+    x = np.concatenate([big, x, -big])
+    rng.shuffle(x)
+    return x, target, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_near_tolerance_sums())
+def test_long_sum_checks_match_fsum_near_the_tolerance(case):
+    x, target, tol = case
+    assert _sums_to(x, target, tol) == _fsum_check(x, target, tol)
 
 
 def _assert_same_as_fsum(x: np.ndarray) -> None:

@@ -1,6 +1,9 @@
+import functools
 import math
+import operator
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +35,12 @@ from framealign.core import (
 from framealign import cyclic
 from framealign.cyclic import EXTRAPOLATION_LOG2, _oracle_dp, _oracle_enumerate
 
-from conftest import graded_prob_vectors, prob_vectors, random_simplex
+from conftest import (
+    graded_prob_vectors,
+    prob_vectors,
+    random_simplex,
+    refuse_long_fsum,
+)
 
 # -2*log2(sqrt(52)/64), 50-digit evaluation.
 RATE_PSI = 6.299560281858908
@@ -88,15 +96,29 @@ class TestCopyDistribution:
             assert np.max(np.abs(dft_vector(c.c) - single**n)) <= 1e-12
 
 
+def _squaring_power(z, n):
+    """z**n by right-to-left square-and-multiply: the product, in order of
+    increasing k, of z**(2**k) over the set bits k of n."""
+    factors = []
+    square = z
+    for bit in reversed(bin(n)[2:]):
+        if bit == "1":
+            factors.append(square)
+        square = square * square
+    return functools.reduce(operator.mul, factors)
+
+
 def _copy_distribution_via_dft_vector(state, n_copies):
     """copy_distribution_zm's (c, deltas) as computed before the transform
-    came from the state's profile: from its own dft_vector call."""
+    came from the state's profile: from its own dft_vector call.  From
+    N = 100 on numpy's power calls cpow, so the reference squares."""
     from framealign.core import dft_vector
 
     m = state.group.M
     z = dft_vector(state.probs)
     z[0] = 0.0
-    deltas = np.maximum(np.fft.fft(z**n_copies).real, -1.0)
+    powered = z**n_copies if n_copies < 100 else _squaring_power(z, n_copies)
+    deltas = np.maximum(np.fft.fft(powered).real, -1.0)
     deltas[1.0 + deltas <= 64.0 * m * np.finfo(float).eps] = -1.0
     return np.maximum((1.0 + deltas) / m, 0.0), deltas
 
@@ -115,6 +137,71 @@ def test_copy_distribution_matches_its_own_transform_bitwise(m):
         want_c, want_deltas = _copy_distribution_via_dft_vector(state, n)
         assert c.c.tobytes() == want_c.tobytes()
         assert dev.deltas.tobytes() == want_deltas.tobytes()
+
+
+def _benchmark_style_state(m, weight, seed):
+    """Uniform plus a Dirichlet(1/2) part of the given weight on min(m, 8)
+    random labels."""
+    rng = np.random.default_rng(seed)
+    k = min(m, 8)
+    p = np.full(m, (1.0 - weight) / m)
+    p[rng.choice(m, size=k, replace=False)] += rng.dirichlet(np.full(k, 0.5)) * weight
+    return zstate(p)
+
+
+@pytest.mark.parametrize(
+    "state, picks",
+    [
+        (lambda: zstate([0.07, 0.86, 0.03, 0.04]), None),
+        (lambda: _benchmark_style_state(16, 0.9, 2), None),
+        (lambda: _benchmark_style_state(65536, 0.95, 3), 300),
+    ],
+    ids=["z4", "z16", "z65536"],
+)
+def test_transform_power_within_n_eps_of_mpmath(monkeypatch, state, picks):
+    # The powered transform that copy_distribution_zm hands to the FFT,
+    # against the exact power of the same float z_n at 40 digits, wherever
+    # |z_n|^N stays clear of underflow.
+    state = state()
+    profile = dft_profile(state)
+    assert profile.r_max >= 0.7
+    z, m = profile.z, profile.M
+    picks = np.arange(1, m) if picks is None else (
+        np.random.default_rng(0).choice(np.arange(1, m), picks, replace=False)
+    )
+    seen = []
+    fft = np.fft.fft
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for n in (100, 128, 480, 900, 2000):
+            seen.clear()
+            copy_distribution_zm(state, n)
+            (powered,) = seen
+            checked = 0
+            for k in picks:
+                want = mpmath.mpc(complex(z[k])) ** n
+                if abs(want) < mpmath.mpf("1e-290"):
+                    continue
+                error = abs(mpmath.mpc(complex(powered[k])) - want) / abs(want)
+                assert float(error) <= n * eps, (n, int(k))
+                checked += 1
+            assert checked > 0
+
+
+def test_copy_distribution_of_a_long_state_builds_no_list(monkeypatch):
+    # At small N the deviations sum to about 0 with a large sum |Delta|,
+    # which the np.sum bound cannot settle; the TwoSum tree must.
+    state = _benchmark_style_state(65536, 0.5, 7)
+    want = [copy_distribution_zm(state, n)[1].deltas for n in (1, 2, 4, 8)]
+    refuse_long_fsum(monkeypatch)
+    for n, deltas in zip((1, 2, 4, 8), want):
+        assert copy_distribution_zm(state, n)[1].deltas.tobytes() == deltas.tobytes()
 
 
 class TestMultinomialOracle:

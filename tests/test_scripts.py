@@ -2,6 +2,7 @@
 and print what their docstrings promise, and out-of-range arguments exit 2
 with a usage error."""
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,38 @@ def test_output_digest_tiny():
     assert all(len(row[3]) == 64 and int(row[3], 16) >= 0 for row in rows)
     # Fresh temporary directories, the same digests.
     assert run_script("output_digest.py", *args) == out
+
+
+def test_output_moves_of_a_tree_against_itself_are_zero():
+    src = str(ROOT / "src")
+    args = ("--workload", "zm_rate", "--seed", "5", "--reps", "2", "--tiny")
+    out = run_script("output_moves.py", src, src, *args)
+    header, *rows, last = out.splitlines()
+    assert header.split("\t") == ["field", "max_abs", "at", "max_rel", "at"]
+    fields = {row.split("\t")[0]: row.split("\t")[1:] for row in rows}
+    # JSON leaves with list positions dropped, and CSV columns.
+    assert {"points[].h_deficit", "points[].lin_i", "H_deficit", "gap_bits"} <= set(
+        fields
+    )
+    assert all(moves == ["0", "-", "0", "-"] for moves in fields.values())
+    assert last == "0 of 18 outputs differ"
+
+
+def test_output_moves_reports_the_largest_move(tmp_path):
+    # A copy of the tree that reports every Z_M asymmetry deficit doubled.
+    shutil.copytree(ROOT / "src" / "framealign", tmp_path / "framealign")
+    cyclic = tmp_path / "framealign" / "cyclic.py"
+    text = cyclic.read_text()
+    assert text.count("asymmetry_deficit_bits=a_def,") == 1
+    doubled = "asymmetry_deficit_bits=2 * a_def,"
+    cyclic.write_text(text.replace("asymmetry_deficit_bits=a_def,", doubled))
+    args = ("--workload", "zm_rate", "--seed", "5", "--tiny")
+    out = run_script("output_moves.py", str(ROOT / "src"), str(tmp_path), *args)
+    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
+    _, at_abs, rel, at_rel = rows["points[].h_deficit"]
+    assert float(rel) == 1.0 and at_rel.startswith("rep 0: ")
+    assert rows["points[].h_bits"] == ["0", "-", "0", "-"]
+    assert out.splitlines()[-1].endswith("of 9 outputs differ")
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,8 @@ _GROUP_RE = re.compile(r"^[zZ](\d+)$")
 # The digits of a --probs token's decimal exponent, as Fraction reads them.
 _EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)$")
 _MAX_PROBS_EXPONENT = 1000
+# RunConfig fields main fills from the flag of the same name, or None.
+_FLAG_FIELDS = ("trials", "restarts", "outcomes", "max_iters", "shots")
 
 
 @dataclasses.dataclass
@@ -134,7 +136,8 @@ def _parse_group(text: str, n_probs: int) -> GroupSpec:
     raise MalformedInput(f"unknown group {text!r}; expected u1 or zM")
 
 
-def _parse_n_list(args) -> list[int]:
+def _parse_n_list(args, cfg: RunConfig) -> list[int]:
+    """The copy numbers of --n or --n-list, recorded in cfg.n_list."""
     if args.n_list is not None:
         if args.n is not None:
             raise MalformedInput("give either --n or --n-list, not both")
@@ -146,38 +149,12 @@ def _parse_n_list(args) -> list[int]:
             raise MalformedInput("--n-list needs positive integers")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise MalformedInput("--n-list must be strictly increasing")
-        return values
-    if args.n is None:
-        return [1]
-    if args.n < 1:
+    elif args.n is not None and args.n < 1:
         raise MalformedInput("--n must be >= 1")
-    return [int(args.n)]
-
-
-def _jsonify(value: Any) -> Any:
-    """Make values JSON-safe: sentinels and infinities become the string "inf"."""
-    if value is INFINITE_RATE:
-        return "inf"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        if math.isnan(value):
-            raise ValueError("refusing to serialize NaN")
-        return value
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonify(value.item())
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind in "biu":  # no inf or NaN to rewrite
-            return value.tolist()
-        return _jsonify(value.tolist())
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        # A float sum is finite only when every term is: nothing to rewrite.
-        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
-            return list(value)
-        return [_jsonify(v) for v in value]
-    return value
+    else:
+        values = [1 if args.n is None else int(args.n)]
+    cfg.n_list = values
+    return values
 
 
 _JSON_LEAVES = {
@@ -214,35 +191,48 @@ def _float_reprs(value: list) -> list[str]:
 
 
 def _json_text(value: Any, pad: str = "") -> str:
-    """Exactly json.dumps(value, indent=2, sort_keys=True), nested at `pad`.
+    """JSON text of a command's payload, nested at `pad`: exactly
+    json.dumps(value, indent=2, sort_keys=True) once numpy arrays and
+    scalars are made lists and numbers, tuples lists, and INFINITE_RATE and
+    +-inf the string "inf".  NaN raises ValueError.
 
     `indent` makes json use its pure-Python encoder, which dominates large
     outputs; here a list whose items share one leaf type is a single join,
     and a long float list with few distinct values reprs each value once.
-    What the fast paths leave out (non-finite floats, non-string keys, empty
-    containers, other types) is written by json.dumps and re-indented: JSON
-    text has no raw newline inside a string.
     """
     kind = type(value)
+    if value is INFINITE_RATE or kind is float and math.isinf(value):
+        return '"inf"'
+    if kind is float and math.isnan(value):
+        raise ValueError("refusing to serialize NaN")
+    leaf = _JSON_LEAVES.get(kind)
+    if leaf is not None:
+        return leaf(value)
+    if isinstance(value, (np.ndarray, np.floating, np.integer)):
+        return _json_text(value.tolist(), pad)
     inner = pad + "  "
-    if kind is list and value:
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
         kinds = set(map(type, value))
         leaf = _JSON_LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        if leaf is float.__repr__ and not math.isfinite(sum(value)):
+            leaf = None  # a float sum is finite only when every term is
         items = map(leaf, value) if leaf else (_json_text(v, inner) for v in value)
         if leaf is float.__repr__ and len(value) >= _DISTINCT_FLOATS_MIN:
             items = _float_reprs(value)
-        text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-        if leaf is not float.__repr__ or "n" not in text:  # as in "inf", "nan"
-            return text
-    elif kind is dict and value and all(type(k) is str for k in value):
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # json writes a number, bool or None key as a string of its text.
         items = (
-            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+            f"{_json_text(v, inner)}"
             for k, v in sorted(value.items())
         )
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    elif kind in _JSON_LEAVES and (kind is not float or math.isfinite(value)):
-        return _JSON_LEAVES[kind](value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _check_out(out: str | None) -> None:
@@ -263,7 +253,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 def _emit_json(obj: dict, cfg: RunConfig) -> None:
     config = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-    _emit(_json_text(_jsonify({**obj, "config": config})) + "\n", cfg.out)
+    _emit(_json_text({**obj, "config": config}) + "\n", cfg.out)
 
 
 def _csv_cell(value) -> str:
@@ -274,25 +264,23 @@ def _csv_cell(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+# (CSV header, row key) of each column of the rate sweep.
+_SWEEP_COLUMNS = (
+    ("N", "n"),
+    ("H_bits", "h_bits"),
+    ("H_deficit", "h_deficit"),
+    ("I_bits", "i_bits"),
+    ("I_deficit", "i_deficit"),
+    ("lin_H_per_N", "lin_h"),
+    ("lin_I_per_N", "lin_i"),
+    ("target", "target"),
+)
+
+
 def _sweep_csv(rows: list[dict]) -> str:
-    header = "N,H_bits,H_deficit,I_bits,I_deficit,lin_H_per_N,lin_I_per_N,target"
-    lines = [header]
+    lines = [",".join(header for header, _ in _SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                _csv_cell(row[key])
-                for key in (
-                    "n",
-                    "h_bits",
-                    "h_deficit",
-                    "i_bits",
-                    "i_deficit",
-                    "lin_h",
-                    "lin_i",
-                    "target",
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(row[key]) for _, key in _SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -348,8 +336,7 @@ def _cyclic_points(state: StandardState, n_list: list[int], *keys: str) -> list[
 
 def _cmd_asymmetry(args, cfg: RunConfig) -> int:
     state = _resolve_state(args, cfg)
-    n_list = _parse_n_list(args)
-    cfg.n_list = n_list
+    n_list = _parse_n_list(args, cfg)
     if state.group.is_cyclic:
         points = _cyclic_points(state, n_list, "h_bits", "h_deficit")
     else:
@@ -363,8 +350,7 @@ def _cmd_asymmetry(args, cfg: RunConfig) -> int:
 
 def _cmd_mi(args, cfg: RunConfig) -> int:
     state = _resolve_state(args, cfg)
-    n_list = _parse_n_list(args)
-    cfg.n_list = n_list
+    n_list = _parse_n_list(args, cfg)
     cfg.grid = _grid_for(state, args)
     if state.group.is_cyclic:
         points = _cyclic_points(state, n_list, "i_bits", "i_deficit")
@@ -384,8 +370,7 @@ def _cmd_mi(args, cfg: RunConfig) -> int:
 
 def _cmd_rate(args, cfg: RunConfig) -> int:
     state = _resolve_state(args, cfg)
-    n_list = _parse_n_list(args)
-    cfg.n_list = n_list
+    n_list = _parse_n_list(args, cfg)
     cfg.grid = _grid_for(state, args)
     rows = _series_rows(state, n_list, cfg.grid)
     # Every row carries the limiting rate as its target.
@@ -399,8 +384,8 @@ def _cmd_rate(args, cfg: RunConfig) -> int:
         summary["number_variance"] = u1.number_variance(state)
     if cfg.format == "csv":
         _emit(_sweep_csv(rows), cfg.out)
-        return EXIT_OK
-    _emit_json({**summary, "points": rows}, cfg)
+    else:
+        _emit_json({**summary, "points": rows}, cfg)
     return EXIT_OK
 
 
@@ -439,8 +424,6 @@ def _cmd_search(args, cfg: RunConfig) -> int:
         raise MalformedInput("search runs on cyclic groups only (--group zM)")
     m = int(match.group(1))
     cfg.group = {"kind": "cyclic", "M": m}
-    cfg.trials = args.trials
-    cfg.seed = args.seed
     result = cyclic.search_superadditive(
         m, args.trials, args.seed, workers=args.workers
     )
@@ -455,19 +438,19 @@ def _cmd_search(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(args, cfg: RunConfig) -> int:
+def _cyclic_state_and_n(args, cfg: RunConfig) -> tuple[StandardState, int]:
+    """The cyclic state and single copy number of optimize and sample."""
     state = _resolve_state(args, cfg)
     if not state.group.is_cyclic:
-        raise MalformedInput("optimize runs on cyclic states only")
-    n_list = _parse_n_list(args)
+        raise MalformedInput(f"{cfg.subcommand} runs on cyclic states only")
+    n_list = _parse_n_list(args, cfg)
     if len(n_list) != 1:
-        raise MalformedInput("optimize takes a single --n")
-    n = n_list[0]
-    cfg.n_list = n_list
-    cfg.seed = args.seed
-    cfg.restarts = args.restarts
-    cfg.outcomes = args.outcomes
-    cfg.max_iters = args.max_iters
+        raise MalformedInput(f"{cfg.subcommand} takes a single --n")
+    return state, n_list[0]
+
+
+def _cmd_optimize(args, cfg: RunConfig) -> int:
+    state, n = _cyclic_state_and_n(args, cfg)
     ens = povm.ensemble_states(state, n)
     opt_cfg = povm.OptimizerConfig(
         outcomes=args.outcomes,
@@ -494,16 +477,7 @@ def _cmd_optimize(args, cfg: RunConfig) -> int:
 
 
 def _cmd_sample(args, cfg: RunConfig) -> int:
-    state = _resolve_state(args, cfg)
-    if not state.group.is_cyclic:
-        raise MalformedInput("sample runs on cyclic states only")
-    n_list = _parse_n_list(args)
-    if len(n_list) != 1:
-        raise MalformedInput("sample takes a single --n")
-    n = n_list[0]
-    cfg.n_list = n_list
-    cfg.shots = args.shots
-    cfg.seed = args.seed
+    state, n = _cyclic_state_and_n(args, cfg)
     record = sampling.simulate_protocol(state, n, None, args.shots, args.seed)
     estimate, corrected = sampling.plugin_mi(record)
     if cfg.format == "csv":
@@ -619,6 +593,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         format=getattr(args, "format", "json"),
         workers=args.workers,
         seed=args.seed,
+        **{name: getattr(args, name, None) for name in _FLAG_FIELDS},
     )
     try:
         _check_out(args.out)

@@ -249,6 +249,8 @@ class StandardState:
     _profile: SpectralProfile | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # _unit_modulus_step of a cyclic state, made on first use like _profile.
+    _unit_step: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -306,7 +308,8 @@ class SpectralProfile:
     z[n] is the transform of the probability vector with the e^{+2*pi*i*n*m/M}
     kernel, r its moduli, theta its phases in [0, 2*pi).  S is the set of
     indices 1..M-1 whose modulus ties with r_max (relative tolerance
-    ``S_TIE_REL``), and D = sum_{s in S} (M - s) / M.
+    ``S_TIE_REL``), and D = sum_{s in S} (M - s) / M, which is |S|/2 as S is
+    closed under s -> M - s.
     """
 
     M: int
@@ -476,17 +479,28 @@ def _state_profile(state: StandardState) -> SpectralProfile:
     if r_max <= MODULUS_ZERO_TOL:
         r_max = 0.0
         maximizers: tuple[int, ...] = ()
-        weight = 0.0
     else:
         cut = r_max * (1.0 - S_TIE_REL)
         maximizers = tuple((np.flatnonzero(r[1:] >= cut) + 1).tolist())
-        weight = sum(M - s for s in maximizers) / M
     z.setflags(write=False)
     r.setflags(write=False)
     theta.setflags(write=False)
-    profile = SpectralProfile(M, z, r, theta, r_max, maximizers, weight)
+    profile = SpectralProfile(M, z, r, theta, r_max, maximizers, len(maximizers) / 2)
     object.__setattr__(state, "_profile", profile)
     return profile
+
+
+def _unit_modulus_step(state: StandardState) -> int:
+    """The step M/g of the indices n with |z_n| = 1 exactly, where
+    g = gcd(M, s - s0 over the support) and s0 is its first label: every
+    label is s0 mod g, so z_n = exp(2*pi*i*n*s0/M) at the multiples of M/g.
+    M for a state with full support.  Made once per cyclic state."""
+    if state._unit_step is None:
+        m = state.group.M
+        support = np.flatnonzero(state.probs)
+        g = 1 if support.size == m else np.gcd.reduce(support - support[0], initial=m)
+        object.__setattr__(state, "_unit_step", m // int(g))
+    return state._unit_step
 
 
 # --- state file format -------------------------------------------------------

@@ -28,6 +28,7 @@ from .core import (
     StandardState,
     _fsum,
     _state_profile,
+    _unit_modulus_step,
     dft_profile,
     entropy_deficit,
     fourier_offsets,
@@ -152,7 +153,9 @@ def copy_distribution_zm(
     power is numpy's below N = SQUARING_MIN_N and square-and-multiply from
     there on, where its relative error stays within N*eps of the exact
     power of each z_n (tested against 40-digit mpmath up to N = 2000;
-    numpy's cpow reached 2.2*N*eps).
+    numpy's cpow reached 2.2*N*eps).  A z_n with |z_n| = 1 exactly is a
+    root of unity of order dividing M, so it is raised to N mod M instead,
+    and its phase error does not grow with N (states on one coset).
     """
     _require_cyclic(state)
     if n_copies < 1:
@@ -160,7 +163,11 @@ def copy_distribution_zm(
     m = state.group.M
     # The profile's z is dft_vector(state.probs) with z[0] = 1; the trivial
     # component is dropped after the power, as 0**N = 0.
-    powered = _power(_state_profile(state).z, n_copies)
+    z = _state_profile(state).z
+    powered = _power(z, n_copies)
+    step = _unit_modulus_step(state)
+    if step < m:  # a state on one coset; with full support the step is M
+        powered[::step] = _power(z[::step], n_copies % m)
     powered[0] = 0.0
     deltas = np.maximum(np.fft.fft(powered).real, -1.0)
     # A c_k that is mathematically zero comes out of the transform as

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framealign import GroupSpec, cli, cyclic, sampling, save_state, validate_state
 from framealign.cli import main
@@ -164,13 +166,14 @@ class TestAsymmetryAndMi:
         self, tmp_path, group, probs, deficit, sub, key
     ):
         # A state on one coset of a subgroup keeps |z_n| = 1 at every n on
-        # the dual subgroup, so its deficits stay log2 of the coset count
-        # and the N-th power carries the whole rounding error of z_n**N.
-        argv = [sub, "--group", group, "--probs", probs, "--n", str(2**20)]
-        point = run_json(tmp_path, argv)["points"][0]
+        # the dual subgroup, so its deficits stay log2 of the coset count;
+        # a float z_n**N would carry a phase error that grows like N*eps.
         bits = math.log2(int(group[1:])) - deficit
-        assert point[f"{key}_deficit"] == pytest.approx(deficit, abs=1e-8)
-        assert point[f"{key}_bits"] == pytest.approx(bits, abs=1e-8)
+        for n in (2**20, 2**36, 2**53):
+            argv = [sub, "--group", group, "--probs", probs, "--n", str(n)]
+            point = run_json(tmp_path, argv)["points"][0]
+            assert point[f"{key}_deficit"] == pytest.approx(deficit, abs=1e-8)
+            assert point[f"{key}_bits"] == pytest.approx(bits, abs=1e-8)
 
     def test_n_list_must_increase(self, capsys):
         rc = main(["asymmetry", "--group", "z2", "--probs", "3/4,1/4", "--n-list", "4,2"])
@@ -534,24 +537,82 @@ class TestInputRejection:
         assert_one_json_error(capsys, "SumOutOfTolerance")
 
 
+def ref_jsonify(value):
+    """The reference for the JSON writer: json.dumps(ref_jsonify(value),
+    indent=2, sort_keys=True) is the text it must write.  Sentinels and
+    infinities become the string "inf"."""
+    if value is cyclic.INFINITE_RATE:
+        return "inf"
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf"
+        if math.isnan(value):
+            raise ValueError("refusing to serialize NaN")
+        return value
+    if isinstance(value, (np.floating, np.integer)):
+        return ref_jsonify(value.item())
+    if isinstance(value, np.ndarray):
+        return ref_jsonify(value.tolist())
+    if isinstance(value, dict):
+        return {k: ref_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_jsonify(v) for v in value]
+    return value
+
+
+def assert_written_as_reference(value) -> None:
+    """cli._json_text(value) is the reference text, or raises as it does."""
+    try:
+        want = json.dumps(ref_jsonify(value), indent=2, sort_keys=True)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cli._json_text(value)
+        return
+    # Compared by line: pytest's diff of two long strings takes minutes.
+    assert cli._json_text(value).split("\n") == want.split("\n")
+
+
 class TestJsonify:
     def test_arrays(self):
-        ints = cli._jsonify(np.array([[1, 2], [3, 4]], dtype=np.int64))
-        assert ints == [[1, 2], [3, 4]] and type(ints[0][0]) is int
-        assert cli._jsonify(np.array([True, False])) == [True, False]
-        assert cli._jsonify(np.array([1.5, np.inf])) == [1.5, "inf"]
+        assert_written_as_reference(np.array([[1, 2], [3, 4]], dtype=np.int64))
+        assert_written_as_reference(np.array([True, False]))
+        assert_written_as_reference(np.array([1.5, np.inf]))
         with pytest.raises(ValueError):
-            cli._jsonify(np.array([np.nan]))
+            cli._json_text(np.array([np.nan]))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_LEAVES = (st.none(), st.booleans(), st.integers(), _FINITE, st.text())
+_NUMPY_LEAVES = (
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+_LEAVES = (
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FINITE,
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, cyclic.INFINITE_RATE]),
+    st.text(),
+    *_NUMPY_LEAVES,
+)
+_ARRAYS = st.one_of(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(max_dims=2, max_side=4),
+        elements=st.floats(allow_nan=False),
+    ),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4)),
+    hnp.arrays(np.bool_, hnp.array_shapes(max_dims=2, max_side=4)),
+)
 # Lists of one leaf type take the writer's single-join path, mixed lists and
 # containers the per-item path; st.text() draws non-ASCII characters.
 _JSON_VALUES = st.recursive(
-    st.one_of(*_LEAVES),
+    st.one_of(*_LEAVES, _ARRAYS),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(st.text(max_size=4), inner, max_size=4),
         *(st.lists(leaf, max_size=6) for leaf in _LEAVES),
     ),
@@ -563,7 +624,7 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(_JSON_VALUES)
     def test_matches_json_dumps(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert_written_as_reference(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -574,10 +635,12 @@ class TestJsonWriter:
             {1: "one", 2: [2.0]},
             [(1, 2), {}, [], "\u00e9\n"],
             {"x": [1, True, None, 1.0]},
+            # Finite floats whose sum overflows; float and negative int keys.
+            {2.5: [1e308, 1e308], -1: (math.inf, cyclic.INFINITE_RATE)},
         ],
     )
     def test_non_finite_floats_and_other_keys(self, value):
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert_written_as_reference(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -594,9 +657,7 @@ class TestJsonWriter:
         ],
     )
     def test_long_float_lists_with_few_distinct_values(self, value):
-        # Compared by line: pytest's diff of two long strings takes minutes.
-        text = cli._json_text(value).splitlines()
-        assert text == json.dumps(value, indent=2, sort_keys=True).splitlines()
+        assert_written_as_reference(value)
 
     def test_float_reprs_call_repr_once_per_distinct_value(self):
         value = [0.1, 0.2, 0.1, -0.0, 0.0] * 1000
@@ -625,6 +686,34 @@ class TestJsonWriter:
             assert main(argv + ["--out", str(out)]) == 0
             text = out.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestRunConfig:
+    def test_flag_fields_are_set_only_where_the_subcommand_has_the_flag(
+        self, tmp_path, z4_psi
+    ):
+        save_state(z4_psi, tmp_path / "a.json")
+        a = str(tmp_path / "a.json")
+        state = ["--group", "z4", "--probs", ",".join(PSI), "--n", "1"]
+        commands = [
+            (["asymmetry", *state], set()),
+            (["mi", *state], set()),
+            (["rate", *state], set()),
+            (["superadd", "--a", a, "--b", a], set()),
+            (["search", "--group", "z4", "--trials", "20"], {"trials"}),
+            (
+                ["optimize", *state, "--restarts", "1", "--outcomes", "4"],
+                {"restarts", "outcomes", "max_iters"},
+            ),
+            (["sample", *state, "--shots", "50"], {"shots"}),
+        ]
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        flag_fields = {"trials", "restarts", "outcomes", "max_iters", "shots"}
+        for argv, flags in commands:
+            config = run_json(tmp_path, argv)["config"]
+            assert set(config) == fields
+            assert {k for k in flag_fields if config[k] is not None} == flags, argv
+            assert config["seed"] == 0 and config["subcommand"] == argv[0]
 
 
 class TestStateFileInput:

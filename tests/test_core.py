@@ -26,6 +26,7 @@ from framealign import (
     state_to_json,
     validate_state,
 )
+from framealign import core
 from framealign.core import (
     LN2,
     S_TIE_REL,
@@ -312,6 +313,17 @@ class TestFsum:
         monkeypatch.setattr(math, "fsum", refuse)
         assert [_fsum(x) for x in cases] == want
 
+    def test_tree_sum_needs_an_error_below_half_the_gap(self, monkeypatch):
+        # At 1.0 the gap below (2^-53) is half the gap above.  An error of
+        # exactly half the smaller gap leaves a tie possible: defer to fsum.
+        r = 1.0
+        half_gap = 2.0**-54
+        monkeypatch.setattr(math, "fsum", lambda values: "math.fsum")
+        x = np.zeros(_FSUM_VECTOR_MIN)
+        for err, want in ((half_gap, "math.fsum"), (math.nextafter(half_gap, 0), r)):
+            monkeypatch.setattr(core, "_sum_tree", lambda x, err=err: (r, err))
+            assert _fsum(x) == want
+
 
 class TestShannonEntropy:
     def test_uniform_bit(self):
@@ -526,6 +538,31 @@ class TestDftProfile:
         assert prof.r_max == 0.0
         assert prof.S == ()
         assert np.all(prof.r[1:] <= 1e-12)
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "benchmark", "periodic", "mirror"])
+    def test_degeneracy_weight_is_half_the_maximizer_count(self, kind):
+        # D = sum_{s in S} (M - s) / M is |S|/2 because S is closed under
+        # s -> M - s.
+        rng = np.random.default_rng(len(kind))
+        for m in (2, 3, 4, 6, 7, 8, 12, 30, 64, 255, 1024, 2048):
+            for _ in range(5):
+                if kind == "dirichlet":
+                    p = rng.dirichlet(np.full(m, 0.5))
+                elif kind == "benchmark":  # uniform mixed with a few labels
+                    q = np.zeros(m)
+                    labels = rng.choice(m, size=min(m, 8), replace=False)
+                    q[labels] = rng.dirichlet(np.full(labels.size, 0.5))
+                    t = rng.uniform(0.1, 0.9)
+                    p = (1 - t) / m + t * q
+                elif kind == "periodic":
+                    period = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+                    p = np.tile(rng.dirichlet(np.ones(period)), m // period)
+                else:
+                    q = rng.dirichlet(np.ones(m))
+                    p = q + q[(-np.arange(m)) % m]
+                prof = dft_profile(validate_state(p / p.sum(), GroupSpec.cyclic(m)))
+                assert set(prof.S) == {m - s for s in prof.S}
+                assert prof.D == sum(m - s for s in prof.S) / m == len(prof.S) / 2
 
     def test_z0_is_exactly_one(self, z4_psi):
         assert dft_profile(z4_psi).z[0] == 1.0

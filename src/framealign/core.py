@@ -27,6 +27,10 @@ MODULUS_ZERO_TOL = 1e-12
 
 INPUT_SUM_TOL = 1e-6
 
+# From this N on numpy's complex power calls libm's cpow, about ten times
+# slower than the squaring it does below, so _power squares.
+SQUARING_MIN_N = 100
+
 
 class FrameAlignError(Exception):
     """Base class for all errors raised by this package."""
@@ -453,6 +457,27 @@ def offset_entropy(x: np.ndarray, k: int) -> float:
 def dft_vector(p: np.ndarray) -> np.ndarray:
     """DFT with the e^{+2*pi*i*n*m / M} kernel: z_n = sum_m p_m exp(2*pi*i*n*m/M)."""
     return np.fft.ifft(np.asarray(p, dtype=float)) * len(p)
+
+
+def _power(z: np.ndarray, n_copies: int) -> np.ndarray:
+    """z**n_copies elementwise in a new array, z left as it is: numpy's
+    power below SQUARING_MIN_N, right-to-left square-and-multiply into two
+    buffers of its own from there on.  Both groups' transform powers use it
+    (cyclic.copy_distribution_zm, u1._fft_power)."""
+    if n_copies < SQUARING_MIN_N:
+        return z**n_copies
+    square = z.copy()
+    powered = None
+    while True:
+        if n_copies & 1:
+            if powered is None:
+                powered = square.copy()
+            else:
+                powered *= square
+        n_copies >>= 1
+        if not n_copies:
+            return powered
+        square *= square
 
 
 def dft_profile(state: StandardState) -> SpectralProfile:

@@ -27,6 +27,7 @@ from .core import (
     SpectralProfile,
     StandardState,
     _fsum,
+    _power,
     _state_profile,
     _unit_modulus_step,
     dft_profile,
@@ -44,10 +45,6 @@ ORACLE_GUARD = 10_000_000
 # exponent (base-2) the asymptotic prediction is reported instead, flagged
 # as extrapolated in rate series.
 EXTRAPOLATION_LOG2 = -980.0
-
-# From this N on numpy's complex power calls libm's cpow, about ten times
-# slower than the squaring it does below, so copy_distribution_zm squares.
-SQUARING_MIN_N = 100
 
 # Cells (trials x M) drawn per factor in one search block: 512 KiB of
 # float64, so a block's two factors draw 1 MiB.  With their transform a
@@ -122,26 +119,6 @@ def _require_cyclic(state: StandardState) -> None:
         raise GroupMismatch("operation needs a cyclic state")
 
 
-def _power(z: np.ndarray, n_copies: int) -> np.ndarray:
-    """z**n_copies elementwise in a new array, z left as it is: numpy's
-    power below SQUARING_MIN_N, right-to-left square-and-multiply into two
-    buffers of its own from there on."""
-    if n_copies < SQUARING_MIN_N:
-        return z**n_copies
-    square = z.copy()
-    powered = None
-    while True:
-        if n_copies & 1:
-            if powered is None:
-                powered = square.copy()
-            else:
-                powered *= square
-        n_copies >>= 1
-        if not n_copies:
-            return powered
-        square *= square
-
-
 def copy_distribution_zm(
     state: StandardState, n_copies: int
 ) -> tuple[CopyDistribution, DeviationVector]:
@@ -150,10 +127,10 @@ def copy_distribution_zm(
     The deviations Delta_k = M*c_k - 1 are assembled directly from the
     nontrivial transform components z_n**N, so they keep full relative
     precision even when exponentially small; c is then (1 + Delta)/M.  The
-    power is numpy's below N = SQUARING_MIN_N and square-and-multiply from
-    there on, where its relative error stays within N*eps of the exact
-    power of each z_n (tested against 40-digit mpmath up to N = 2000;
-    numpy's cpow reached 2.2*N*eps).  A z_n with |z_n| = 1 exactly is a
+    power is core._power, numpy's below N = SQUARING_MIN_N and
+    square-and-multiply from there on, where its relative error stays
+    within N*eps of the exact power of each z_n (tested against 40-digit
+    mpmath up to N = 2000; numpy's cpow reached 2.2*N*eps).  A z_n with |z_n| = 1 exactly is a
     root of unity of order dividing M, so it is raised to N mod M instead,
     and its phase error does not grow with N (states on one coset).
     """
@@ -290,9 +267,10 @@ def _zm_point(
         lin_m = -(2.0 * n_copies * log2r + math.log2(inner)) / n_copies
     else:
         _, dev = copy_distribution_zm(state, n_copies)
-        # The information deficit log2(M) - I is the offset entropy.
-        a_def = entropy_deficit(dev)
-        m_def = offset_entropy(_root_deviations(dev), dev.M)
+        # The information deficit log2(M) - I is the offset entropy.  Both
+        # deficits can round an ulp past [0, log2 M], as on a one-label state.
+        a_def = min(log2m, max(0.0, entropy_deficit(dev)))
+        m_def = min(log2m, max(0.0, offset_entropy(_root_deviations(dev), dev.M)))
         lin_a = -math.log2(a_def) / n_copies if a_def > 0 else math.inf
         lin_m = -math.log2(m_def) / n_copies if m_def > 0 else math.inf
     return ZmRatePoint(

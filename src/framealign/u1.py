@@ -16,14 +16,16 @@ from .core import (
     ResourceLimit,
     StandardState,
     _fsum,
+    _power,
     offset_entropy,
     shannon_entropy,
 )
 
 # Hard ceiling on the number of copy-distribution coefficients (N up to
-# 2^20 - 1 for qubits).  At the cap, on a 2-CPU x86 host, the copy
-# distribution takes about 0.5 s and a whole rate point (H and I on the
-# 2^23-point grid) about 1.4 s at 370 MB peak.
+# 2^20 - 1 for qubits).  At the cap, on a 2-CPU x86 host, the balanced
+# qubit's copy distribution takes about 0.27 s, and a whole rate point (H,
+# and I on the 2^17-point grid of its 11940 live labels) about 0.3 s at
+# 107 MB peak.
 DEFAULT_COEFF_CAP = 1 << 20
 
 # Smallest quadrature grid ever used; large N bumps it further (see
@@ -59,6 +61,9 @@ class QuadratureSpec:
 
     @classmethod
     def for_length(cls, n_coeffs: int) -> "QuadratureSpec":
+        """The default grid for n_coeffs live coefficients (the span from the
+        first to the last nonzero label): 8 points per coefficient, rounded
+        up to a power of two, and never below MIN_GRID_POINTS."""
         return cls(max(MIN_GRID_POINTS, _next_pow2(8 * n_coeffs)))
 
 
@@ -111,7 +116,7 @@ def _fft_power(p: np.ndarray, n: int, k: int) -> np.ndarray:
     # more than 1e-300.
     live = np.abs(z) > math.exp(-700.0 / n)
     powered = np.zeros_like(z)
-    powered[live] = z[live] ** n
+    powered[live] = _power(z[live], n)
     return np.fft.irfft(powered, k)
 
 
@@ -179,20 +184,24 @@ def u1_asymmetry(state: StandardState, n_copies: int) -> float:
 def _covariant_info(c: np.ndarray, quad: QuadratureSpec | None) -> float:
     """Covariant information (bits) of the copy distribution c by the periodic
     trapezoid rule on K points, which is exactly the Z_K Fourier-basis
-    information of c padded with zeros: log2(K) - H(q)."""
-    if quad is None:
-        quad = QuadratureSpec.for_length(c.size)
-    if quad.grid_points < 8 * c.size:
-        raise GridTooCoarse(
-            f"grid of {quad.grid_points} points is below 8 x {c.size} coefficients"
-        )
-    # q is invariant under a shift of labels; zero edges only add rounding,
-    # and one label left carries no information.
+    information of c padded with zeros: log2(K) - H(q).  q is invariant under
+    a shift of labels, so only the live span from the first to the last
+    nonzero label is transformed, and the grid, default or given, needs 8
+    points per live label."""
     nz = np.flatnonzero(c)
-    if nz[0] == nz[-1]:
+    live = c[nz[0] : nz[-1] + 1]
+    if quad is None:
+        quad = QuadratureSpec.for_length(live.size)
+    if quad.grid_points < 8 * live.size:
+        raise GridTooCoarse(
+            f"grid of {quad.grid_points} points is below "
+            f"8 x {live.size} live coefficients"
+        )
+    # One label left carries no information.
+    if live.size == 1:
         return 0.0
     k = quad.grid_points
-    info = math.log2(k) - offset_entropy(np.sqrt(k * c[nz[0] : nz[-1] + 1]), k)
+    info = math.log2(k) - offset_entropy(np.sqrt(k * live), k)
     return max(info, 0.0)
 
 

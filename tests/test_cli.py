@@ -175,6 +175,24 @@ class TestAsymmetryAndMi:
             assert point[f"{key}_deficit"] == pytest.approx(deficit, abs=1e-8)
             assert point[f"{key}_bits"] == pytest.approx(bits, abs=1e-8)
 
+    @pytest.mark.parametrize("sub, key", [("asymmetry", "h"), ("mi", "i")])
+    def test_one_label_state_reads_exactly_zero(self, tmp_path, sub, key):
+        # Its deficits are log2 3 up to an ulp; the reported bits and
+        # deficits are clamped to [0, log2 M].
+        argv = [sub, "--group", "z3", "--probs", "0,1,0", "--n", "1"]
+        point = run_json(tmp_path, argv)["points"][0]
+        assert point[f"{key}_bits"] == 0.0
+        assert 0.0 <= point[f"{key}_deficit"] <= math.log2(3)
+
+    def test_u1_grid_counts_live_labels(self, tmp_path):
+        # At N = 4096 only 787 labels around the mean are nonzero, so a grid
+        # below 8 x 4097 labels still holds 8 points per live label.
+        argv = ["mi", "--group", "u1", "--probs", "0.5,0.5", "--n", "4096"]
+        default = run_json(tmp_path, argv)["points"][0]["i_bits"]
+        grid = run_json(tmp_path, argv + ["--grid", "32768"])
+        assert grid["config"]["grid"] == 32768
+        assert abs(grid["points"][0]["i_bits"] - default) <= 1e-12
+
     def test_n_list_must_increase(self, capsys):
         rc = main(["asymmetry", "--group", "z2", "--probs", "3/4,1/4", "--n-list", "4,2"])
         assert rc == 2

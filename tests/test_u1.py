@@ -228,6 +228,49 @@ class TestFftPowerAccuracy:
         assert abs(covariant_mutual_info_u1(state, n) - full_grid_mi(oracle)) <= 5e-11
 
 
+@pytest.mark.parametrize("probs", [[0.37, 0.63], [0.2, 0.5, 0.3]], ids=["d2", "d3"])
+def test_transform_power_within_n_eps_of_mpmath(monkeypatch, probs):
+    # Every transform power that copy_distribution_u1 hands to the inverse
+    # FFT (untilted and both tilts), against the exact power of the same
+    # float transform bin at 40 digits, wherever |z|^N stays clear of
+    # underflow.  At most 300 such bins are drawn per transform.
+    state = u1_state(probs)
+    rng = np.random.default_rng(0)
+    transforms, powers = [], []
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def rfft_spy(a, *args, **kwargs):
+        transforms.append(rfft(a, *args, **kwargs))
+        return transforms[-1]
+
+    def irfft_spy(a, *args, **kwargs):
+        powers.append(np.array(a))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+    monkeypatch.setattr(np.fft, "irfft", irfft_spy)
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for n in (100, 480, 2000, 65536):
+            transforms.clear()
+            powers.clear()
+            copy_distribution_u1(state, n)
+            assert len(transforms) == len(powers) == 3
+            for z, powered in zip(transforms, powers):
+                with np.errstate(divide="ignore"):
+                    clear = np.flatnonzero(n * np.log10(np.abs(z)) >= -289.0)
+                picks = rng.choice(clear, min(300, clear.size), replace=False)
+                checked = 0
+                for k in picks:
+                    want = mp.mpc(complex(z[k])) ** n
+                    if abs(want) < mp.mpf("1e-290"):
+                        continue
+                    error = abs(mp.mpc(complex(powered[k])) - want) / abs(want)
+                    assert float(error) <= n * eps, (n, int(k))
+                    checked += 1
+                assert checked > 0
+
+
 class TestGappedSpectra:
     """Labels a gapped state cannot reach come out exactly 0, not as FFT
     noise that square-root amplitudes would amplify."""
@@ -298,6 +341,22 @@ class TestCovariantMutualInfo:
         with pytest.raises(GridTooCoarse):
             covariant_mutual_info_u1(qubit_half, 100, QuadratureSpec(256))
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_live_span_grid_matches_full_length_grid(self, d):
+        # The default grid counts 8 points per live label, not per label of
+        # the whole distribution; the information does not move.
+        rng = np.random.default_rng(40 + d)
+        state = u1_state(random_simplex(rng, d))
+        top = 1 << 16 if d == 2 else 1 << 14
+        for n in (1, 7, 100, 1000, 4096, top):
+            c = copy_distribution_u1(state, n).c
+            got = covariant_mutual_info_u1(state, n)
+            assert abs(got - full_grid_mi(c)) <= 1e-12, n
+        # At the largest N the far tails are exactly 0, and the grid is smaller.
+        nz = np.flatnonzero(c)
+        live = QuadratureSpec.for_length(nz[-1] - nz[0] + 1)
+        assert live.grid_points < QuadratureSpec.for_length(c.size).grid_points
+
     def test_grid_limit_is_largest_automatic_grid(self):
         # Rejected before any grid is allocated.
         assert QuadratureSpec.for_length(DEFAULT_COEFF_CAP).grid_points == MAX_GRID_POINTS
@@ -312,6 +371,14 @@ class TestCovariantMutualInfo:
         target = 0.5 * math.log2(8 * math.pi * n * 0.25 / math.e)
         got = covariant_mutual_info_u1(qubit_half, n, QuadratureSpec(1 << 16))
         assert abs(got - target) <= 1e-5
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [0.2, 0.5, 0.3]])
+    def test_holevo_gap_tends_to_log2_e_over_2(self, probs):
+        # H - I of the covariant (canonical phase) measurement does not
+        # vanish for U(1): in the Gaussian limit it is log2(e/2).
+        point = u1_rate_series(u1_state(probs), [4096])[0]
+        gap = point.asymmetry_bits - point.mutual_info_bits
+        assert abs(gap - math.log2(math.e / 2)) <= 1e-5
 
     def test_holevo_bound(self):
         rng = np.random.default_rng(21)
